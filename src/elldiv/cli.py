@@ -1,8 +1,8 @@
 """Command-line front end: fixture files in, CSV/JSON reports out.
 
-Exit codes: 0 success, 1 usage or fixture parse error, 2 mathematical
-precondition violation (torsion P, nP+Q hitting the identity, ...),
-3 verification-suite failure.
+Exit codes: 0 success, 1 usage error (an out-of-range option included)
+or fixture parse error, 2 mathematical precondition violation (torsion P,
+nP+Q hitting the identity, ...), 3 verification-suite failure.
 
 Fixture grammar (keys separated by newlines or semicolons, # comments):
 
@@ -19,6 +19,7 @@ numbers with 12 significant digits.
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,6 +228,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="elldiv",
                      description="denominator sequences, primitive divisors, heights, "
@@ -240,18 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("seq", _cmd_seq, "emit terms (C_n, D_n) of x(nP+Q) as CSV")
-    p.add_argument("--n", type=int, required=True, help="number of terms")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of terms")
 
     p = add("primdiv", _cmd_primdiv, "emit primitive-divisor reports as CSV")
-    p.add_argument("--n", type=int, required=True, help="number of terms")
-    p.add_argument("--factor-budget", type=int, default=DEFAULT_RHO_BUDGET,
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of terms")
+    p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_RHO_BUDGET,
                    help="Pollard-rho iteration budget per certificate")
 
     p = add("height", _cmd_height, "canonical height of P as JSON")
-    p.add_argument("--tol", type=float, default=1e-6, help="convergence tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="convergence tolerance")
 
     p = add("ltcount", _cmd_ltcount, "orbit-membership prime count up to x as JSON")
-    p.add_argument("--x", type=int, required=True, help="sweep bound")
+    p.add_argument("--x", type=_int_at_least(2), required=True, help="sweep bound")
     p.add_argument("--keep-primes", action="store_true", help="include the member primes")
 
     add("badset", _cmd_badset, "excluded-prime set for the fixture as JSON")

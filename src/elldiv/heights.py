@@ -113,8 +113,8 @@ def canonical_height(
     tol/2; the reported error bound max(last gap, tol) is a heuristic, not
     a rigorous enclosure.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if torsion_order(point) is not None:
         return HeightEstimate(0.0, 0.0, 0)
 

@@ -1,11 +1,22 @@
 """Reduction mod good primes, finite group computations, and orbit counting.
 
-The membership question "is Q in the cyclic group generated by P mod p"
-is answered by an order-divisibility pre-filter followed by a baby-step /
-giant-step discrete log inside <P mod p>, which is correct even when
-E(F_p) itself is not cyclic. Group orders come from exhaustive counting
-for small p and from BSGS order-finding inside the Hasse interval above
-that, with lcm-of-orders disambiguation.
+Membership of Q mod p in <P mod p> costs one order computation per prime.
+A baby-step / giant-step search over the Hasse interval finds a multiple M
+of ord(P) (a supplied group order serves as well). Let S be a set of
+primes containing every prime of ord(Q) and M_S the S-part of M. Then Q
+lies in <P> exactly when it lies in the S-primary part of <P>, the cyclic
+group generated by R = (M / M_S) P. Its order is found by stripping only
+the primes in S, and the discrete log is solved by BSGS in the subgroup
+of <R> of order ord(Q), as in Pohlig-Hellman. This is correct even when
+E(F_p) itself is not cyclic. When Q is torsion of order t over Q, the
+orbit sweep takes S from t once per call, so it factors nothing and
+searches no ord(Q) per prime; otherwise S is the set of primes of M.
+
+Group orders come from exhaustive counting for small p. Above that they
+come from BSGS orders of random points on E and on its quadratic twist
+E': since #E + #E' = 2p + 2, the two lcms of sampled orders narrow the
+Hasse interval to one value, which Mestre's theorem guarantees for
+p > 229.
 
 Every operation is deterministic: the random points used by order-finding
 are drawn from a generator seeded by (p, curve coefficients), so results
@@ -22,11 +33,11 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .numtheory import factorize, primes_upto
-from .rational_ec import Point, WeierstrassCurve, require_infinite_order
+from .rational_ec import Point, WeierstrassCurve, require_infinite_order, torsion_order
 
 ENUMERATION_CUTOFF = 10 ** 4   # group_order enumerates below, BSGS above
-ENUMERATION_FALLBACK_BOUND = 10 ** 6
-BSGS_SAMPLE_LIMIT = 8
+MESTRE_BOUND = 229             # group_order_by_bsgs enumerates at or below
+BSGS_SAMPLE_LIMIT = 8          # random points per curve
 
 
 class BadReductionError(ValueError):
@@ -206,11 +217,13 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     return x
 
 
+def _b_invariants(cp):
+    return cp.a1 * cp.a1 + 4 * cp.a2, 2 * cp.a4 + cp.a1 * cp.a3, cp.a3 * cp.a3 + 4 * cp.a6
+
+
 def _quartic_rhs(cp, x):
     # completed square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    b2 = cp.a1 * cp.a1 + 4 * cp.a2
-    b4 = 2 * cp.a4 + cp.a1 * cp.a3
-    b6 = cp.a3 * cp.a3 + 4 * cp.a6
+    b2, b4, b6 = _b_invariants(cp)
     return (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % cp.p
 
 
@@ -261,40 +274,47 @@ def _hasse_interval(p: int) -> tuple[int, int]:
     return p + 1 - w, p + 1 + w
 
 
-def _annihilator_bsgs(cp, a, lo, hi) -> int:
-    """A multiple of ord(a) found by meet-in-the-middle over [lo, hi].
+def _bsgs(cp, a, target, lo, width) -> int | None:
+    """The smallest m >= lo with m*a = target, or None if none is below lo + width.
 
-    Scans every m in the window with m*a = O and returns the gcd of the
-    hits, which is again a multiple of ord(a) and usually much smaller
-    than the window.
+    Baby steps j*a for j < s = isqrt(width) + 1 go into one table (the
+    first j per point); giant steps walk target - (lo + i*s)*a. Solutions
+    a little past lo + width may also be returned.
     """
-    width = hi - lo + 1
     s = isqrt(width) + 1
     table = {}
     cur = None
     for j in range(s):
-        if cur not in table:
-            table[cur] = j
+        table.setdefault(cur, j)
         cur = _add(cp, cur, a)
-    giant = _neg(cp, _mul(cp, s, a))
-    t = _neg(cp, _mul(cp, lo, a))
-    hits = []
+    giant = _neg(cp, cur)
+    t = _add(cp, target, _mul(cp, -lo, a))
     for i in range(width // s + 2):
-        j = table.get(t, -1)
-        if j >= 0:
-            hits.append(lo + i * s + j)
+        j = table.get(t)
+        if j is not None:
+            return lo + i * s + j
         t = _add(cp, t, giant)
-    g = 0
-    for m in hits:
-        g = gcd(g, m)
-    if g == 0 or _mul(cp, g, a) is not None:
+    return None
+
+
+def _annihilator(cp, a) -> int:
+    """A multiple of ord(a): the smallest m in the Hasse interval with m*a = O."""
+    lo, hi = _hasse_interval(cp.p)
+    m = _bsgs(cp, a, None, lo, hi - lo + 1)
+    if m is None:
         raise RuntimeError("annihilator search failed; group order outside Hasse window?")
-    return g
+    return m
 
 
-def _order_from_multiple(cp, a, multiple: int) -> int:
+def _order_from_multiple(cp, a, multiple: int, primes=None) -> int:
+    """ord(a) from a multiple of it whose primes dividing ord(a) are all in primes.
+
+    primes defaults to every prime of the multiple.
+    """
+    if primes is None:
+        primes = factorize(multiple).factors
     order = multiple
-    for q in factorize(multiple).factors:
+    for q in primes:
         while order % q == 0 and _mul(cp, order // q, a) is None:
             order //= q
     return order
@@ -303,33 +323,56 @@ def _order_from_multiple(cp, a, multiple: int) -> int:
 def _order(cp, a) -> int:
     if a is None:
         return 1
-    lo, hi = _hasse_interval(cp.p)
-    return _order_from_multiple(cp, a, _annihilator_bsgs(cp, a, lo, hi))
+    return _order_from_multiple(cp, a, _annihilator(cp, a))
+
+
+def _quadratic_twist(cp: FpCurve) -> FpCurve:
+    """The twist D*Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 by a non-residue D, for odd p.
+
+    As a Weierstrass model with a1 = a3 = 0 its b-invariants are
+    (D b2, D^2 b4, D^3 b6), and #E + #E' = 2p + 2.
+    """
+    p = cp.p
+    d = 2
+    while pow(d, (p - 1) // 2, p) != p - 1:
+        d += 1
+    b2, b4, b6 = _b_invariants(cp)
+    inv2, inv4 = pow(2, -1, p), pow(4, -1, p)
+    return FpCurve(p, 0, b2 * d * inv4 % p, 0, b4 * d * d * inv2 % p,
+                   b6 * d ** 3 * inv4 % p, cp.discriminant * d ** 6 % p)
+
+
+def _hasse_candidate(p: int, order_lcm: int, twist_lcm: int) -> int | None:
+    """The one N in the Hasse interval with order_lcm | N and twist_lcm | 2p + 2 - N."""
+    lo, hi = _hasse_interval(p)
+    first = -(-lo // order_lcm) * order_lcm
+    found = [n for n in range(first, hi + 1, order_lcm) if (2 * p + 2 - n) % twist_lcm == 0]
+    return found[0] if len(found) == 1 else None
 
 
 def group_order_by_bsgs(cp: FpCurve) -> int:
-    """#E(F_p) via orders of random points inside the Hasse interval.
+    """#E(F_p) from BSGS orders of random points on E and its quadratic twist.
 
-    Accumulates the lcm of sampled point orders until exactly one multiple
-    of it lies in the interval. Falls back to enumeration for moderate p
-    if eight samples still leave the count ambiguous.
+    The lcms of sampled point orders on E and on the twist E' divide #E
+    and #E' = 2p + 2 - #E. Sampling alternates between the two curves
+    until one value in the Hasse interval fits both. For p > 229 Mestre's
+    theorem guarantees that the group exponents of E and E' leave only
+    #E; at or below that bound the count is enumerated.
     """
     p = cp.p
-    lo, hi = _hasse_interval(p)
-    rng = random.Random(_seed(cp))
-    acc = 1
-    for _ in range(BSGS_SAMPLE_LIMIT):
-        a = _random_affine(cp, rng)
-        if a is None:
-            return 1
-        acc = lcm(acc, _order(cp, a))
-        k_lo = -(-lo // acc)
-        k_hi = hi // acc
-        if k_lo == k_hi:
-            return k_lo * acc
-    if p < ENUMERATION_FALLBACK_BOUND:
+    if p <= MESTRE_BOUND:
         return group_order_by_enumeration(cp)
-    raise RuntimeError(f"group order mod {p} still ambiguous after {BSGS_SAMPLE_LIMIT} samples")
+    curves = (cp, _quadratic_twist(cp))
+    lcms = [1, 1]
+    rng = random.Random(_seed(cp))
+    for _ in range(BSGS_SAMPLE_LIMIT):
+        for i, curve in enumerate(curves):
+            lcms[i] = lcm(lcms[i], _order(curve, _random_affine(curve, rng)))
+            order = _hasse_candidate(p, *lcms)
+            if order is not None:
+                return order
+    raise RuntimeError(f"group order mod {p} still ambiguous after "
+                       f"{BSGS_SAMPLE_LIMIT} samples on E and its twist")
 
 
 def group_order(cp: FpCurve) -> int:
@@ -347,6 +390,37 @@ def point_order(point: FpPoint, group_order_hint: int | None = None) -> int:
     return _order_from_multiple(point.curve, point._tuple(), multiple)
 
 
+def _discrete_log(cp, a, q, multiple=None, primes=None) -> int | None:
+    """k with k*a = q, or None when q is not in <a>.
+
+    multiple is a multiple of ord(a), found by the annihilator search when
+    omitted. primes must contain every prime of ord(q); it defaults to the
+    primes of multiple, and then 0 <= k < ord(a). Only the primes-primary
+    part of <a>, generated by r = (multiple / its primes-part) * a, can
+    hold q; the log is solved by BSGS in its subgroup of order ord(q).
+    """
+    if q is None:
+        return 0
+    if a is None:
+        return None
+    if multiple is None:
+        multiple = _annihilator(cp, a)
+    if primes is None:
+        primes = factorize(multiple).factors
+    cofactor = multiple
+    for ell in primes:
+        while cofactor % ell == 0:
+            cofactor //= ell
+    r = _mul(cp, cofactor, a)
+    r_order = _order_from_multiple(cp, r, multiple // cofactor, primes)
+    if _mul(cp, r_order, q) is not None:
+        return None
+    q_order = _order_from_multiple(cp, q, r_order, primes)
+    step = r_order // q_order
+    j = _bsgs(cp, _mul(cp, step, r), q, 0, q_order)
+    return None if j is None else j * step * cofactor % (cofactor * r_order)
+
+
 def in_cyclic_subgroup(
     q_point: FpPoint,
     p_point: FpPoint,
@@ -354,43 +428,17 @@ def in_cyclic_subgroup(
 ) -> tuple[bool, int | None]:
     """Whether Q mod p lies in <P mod p>, with a discrete-log witness.
 
-    ord(Q) must divide ord(P) for membership, which screens out most
-    non-members; survivors get a BSGS discrete log over the cyclic group
-    <P>, whose solvability is exactly membership. The witness k satisfies
-    k * P = Q with 0 <= k < ord(P).
+    One annihilator search gives a multiple of ord(P), or the group order
+    hint is used; its full factorization gives ord(P). Q is a member
+    exactly when ord(Q) divides ord(P) and Q lies in the subgroup of <P>
+    of order ord(Q), generated by (ord(P)/ord(Q)) P, where a BSGS of size
+    about sqrt(ord Q) finds the log. The witness k satisfies k * P = Q
+    with 0 <= k < ord(P).
     """
     if q_point.curve != p_point.curve:
         raise ValueError("points reduced at different primes or curves")
-    cp = q_point.curve
-    q_t, p_t = q_point._tuple(), p_point._tuple()
-    if q_t is None:
-        return True, 0
-    if p_t is None:
-        return False, None
-    if group_order_hint is not None:
-        ord_p = _order_from_multiple(cp, p_t, group_order_hint)
-        ord_q = _order_from_multiple(cp, q_t, group_order_hint)
-    else:
-        ord_p = _order(cp, p_t)
-        ord_q = _order(cp, q_t)
-    if ord_p % ord_q:
-        return False, None
-
-    s = isqrt(ord_p) + 1
-    table = {}
-    cur = None
-    for j in range(s):
-        if cur not in table:
-            table[cur] = j
-        cur = _add(cp, cur, p_t)
-    giant = _neg(cp, _mul(cp, s, p_t))
-    t = q_t
-    for i in range(ord_p // s + 2):
-        j = table.get(t, -1)
-        if j >= 0:
-            return True, (i * s + j) % ord_p
-        t = _add(cp, t, giant)
-    return False, None
+    k = _discrete_log(q_point.curve, p_point._tuple(), q_point._tuple(), group_order_hint)
+    return (False, None) if k is None else (True, k)
 
 
 # -- Lang-Trotter sweep --------------------------------------------------------
@@ -416,6 +464,10 @@ def sweep_primes(
     counts and concatenating lists.
     """
     curve = p_point.curve
+    # ord(Q mod p) divides the torsion order t at every good prime, so the
+    # primes of t are the only ones membership has to look at
+    t = torsion_order(q_point)
+    torsion_primes = None if t is None else list(factorize(t).factors)
     count = 0
     members: list[int] = []
     skipped: list[int] = []
@@ -425,11 +477,9 @@ def sweep_primes(
         except BadReductionError:
             skipped.append(p)
             continue
-        qp = reduce_point(q_point, cp)
-        if qp.is_identity:
-            member = True
-        else:
-            member, _ = in_cyclic_subgroup(qp, reduce_point(p_point, cp))
+        qp = reduce_point(q_point, cp)._tuple()
+        member = qp is None or _discrete_log(
+            cp, reduce_point(p_point, cp)._tuple(), qp, primes=torsion_primes) is not None
         if member:
             count += 1
             members.append(p)

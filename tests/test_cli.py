@@ -125,10 +125,9 @@ def test_ltcount_command(capsys, fixture_path):
     assert payload["skipped_bad"] == ["5", "13"]
     assert isinstance(payload["ratio"], float)
 
-    code, out, _ = run_cli(capsys, "ltcount", fixture_path(FIXTURE_65A), "--x", "1")
+    code, out, _ = run_cli(capsys, "ltcount", fixture_path(FIXTURE_65A), "--x", "2")
     payload = json.loads(out)
-    assert code == 0 and payload["count"] == "0" and payload["ratio"] == 0
-    assert payload["member_primes"] is None
+    assert code == 0 and payload["count"] == "1" and payload["member_primes"] is None
 
 
 def test_badset_command(capsys, fixture_path):
@@ -169,6 +168,26 @@ def test_usage_errors_exit_1(capsys, fixture_path):
     assert run_cli(capsys, "seq", fixture_path("curve=[0,0,0,0,0]; P=[0,0]; Q=O"),
                    "--n", "3")[0] == 1
     assert run_cli(capsys, "seq", fixture_path(FIXTURE_37A))[0] == 1   # missing --n
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", FIXTURE_65A, "--n", "-3"],
+    ["seq", FIXTURE_65A, "--n", "0"],
+    ["primdiv", FIXTURE_65A, "--n", "0"],
+    ["primdiv", FIXTURE_65A, "--n", "3", "--factor-budget", "-1"],
+    ["ltcount", FIXTURE_65A, "--x", "-10"],
+    ["ltcount", FIXTURE_65A, "--x", "1"],
+    ["height", FIXTURE_37A, "--tol", "-1"],
+    ["height", FIXTURE_37A, "--tol", "0"],
+    ["height", FIXTURE_37A, "--tol", "nan"],
+    ["height", FIXTURE_37A, "--tol", "inf"],
+])
+def test_out_of_range_arguments_exit_1(capsys, fixture_path, argv):
+    command, text, *options = argv
+    code, out, err = run_cli(capsys, command, fixture_path(text), *options)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"elldiv: error: argument {options[-2]}:")
 
 
 def test_math_preconditions_exit_2(capsys, fixture_path):

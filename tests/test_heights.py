@@ -176,5 +176,6 @@ def test_non_convergence_reports_gap(p65):
 
 
 def test_tolerance_must_be_positive(p37):
-    with pytest.raises(ValueError):
-        canonical_height(p37, 0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            canonical_height(p37, tol)

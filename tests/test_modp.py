@@ -38,6 +38,23 @@ def orbit_walk_member(cp, p_reduced, q_reduced):
             return False
 
 
+# (curve, P, Q, bad primes <= 3000). Q has order 3 and 4 on the first two,
+# and p = 3 resp. p = 2 divide that order while being good primes. On the
+# rank-two curve 389a, Q is a second generator, so Q has infinite order.
+ORACLE_CASES = {
+    "order3": ((0, 1, 0, -2, 1), (-2, -1), (0, -1), [2, 31]),
+    "order4": ((1, -1, 1, 4, 6), (0, -3), (2, -6), [3, 13]),
+    "389a": ((0, 1, 1, -2, 0), (-1, 1), (0, 0), [389]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def oracle_case(request):
+    coeffs, p_xy, q_xy, bad = ORACLE_CASES[request.param]
+    curve = WeierstrassCurve(*coeffs)
+    return curve.point(*p_xy), curve.point(*q_xy), bad
+
+
 def test_reduce_curve(e65, e37):
     cp = reduce_curve(e65, 3)
     assert (cp.a1, cp.a2, cp.a3, cp.a4, cp.a6) == (1, 0, 0, 2, 0)
@@ -228,6 +245,55 @@ def test_orbit_counts_increase_on_both_fixtures(e37, p37, p65, q65):
         members = lang_trotter_sweep(p_point, q_point, 10 ** 4, keep_primes=True).member_primes
         counts = [sum(1 for p in members if p <= 10 ** k) for k in (2, 3, 4)]
         assert counts[0] < counts[1] < counts[2]
+
+
+def test_sweep_matches_orbit_walk_beyond_order_two(oracle_case):
+    p_point, q_point, bad = oracle_case
+    primes = primes_upto(3000)
+    count, members, skipped = sweep_primes(p_point, q_point, primes)
+    assert skipped == bad
+    expected = []
+    for p in primes:
+        if p not in bad:
+            cp = reduce_curve(p_point.curve, p)
+            if orbit_walk_member(cp, reduce_point(p_point, cp), reduce_point(q_point, cp)):
+                expected.append(p)
+    assert members == expected
+    assert count == len(expected)
+
+
+def test_membership_witness_beyond_order_two(oracle_case):
+    p_point, q_point, bad = oracle_case
+    for p in primes_upto(1000):
+        if p in bad:
+            continue
+        cp = reduce_curve(p_point.curve, p)
+        p_reduced, q_reduced = reduce_point(p_point, cp), reduce_point(q_point, cp)
+        order = group_order(cp)
+        for hint in (None, order):
+            member, witness = in_cyclic_subgroup(q_reduced, p_reduced, hint)
+            if member:
+                assert 0 <= witness < point_order(p_reduced, order)
+                assert witness * p_reduced == q_reduced
+            else:
+                assert witness is None
+
+
+def test_sweep_parallel_matches_serial_beyond_order_two(oracle_case):
+    p_point, q_point, _ = oracle_case
+    serial = lang_trotter_sweep(p_point, q_point, 3000, keep_primes=True, workers=1)
+    parallel = lang_trotter_sweep(p_point, q_point, 3000, keep_primes=True, workers=2)
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("coeffs,p", [
+    ((0, 0, 0, -1, 0), 1000457),   # y^2 = x^3 - x
+    ((0, 0, 0, 0, 1), 1003003),    # y^2 = x^3 + 1
+])
+def test_group_order_bsgs_on_cm_curves_uses_the_twist(coeffs, p):
+    # the lcm of point orders on E alone leaves two candidates here
+    cp = reduce_curve(WeierstrassCurve(*coeffs), p)
+    assert group_order_by_bsgs(cp) == group_order_by_enumeration(cp)
 
 
 def test_sweep_requires_non_torsion_p(q65, e65):
