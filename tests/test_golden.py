@@ -1,0 +1,28 @@
+"""CLI stdout on the shipped fixtures, compared byte for byte with stored output.
+
+The files under tests/golden/ were written by the CLI before the term-stream
+refactor; a change that alters any row, check line or formatting fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from elldiv import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [
+    (["primdiv", "--n", "25"], "primdiv-n25"),
+    (["verify", "--suite", "all"], "verify-all"),
+]
+
+
+@pytest.mark.parametrize("fixture", ["37a", "65a"])
+@pytest.mark.parametrize("argv,stem", CASES, ids=[stem for _, stem in CASES])
+def test_cli_output_matches_golden(capsys, fixture, argv, stem):
+    expected = next(GOLDEN.glob(f"{stem}-{fixture}.*")).read_bytes().decode("utf-8")
+    code = cli.main([argv[0], str(ROOT / "fixtures" / f"{fixture}.fixture"), *argv[1:]])
+    assert code == 0
+    assert capsys.readouterr().out == expected
