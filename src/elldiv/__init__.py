@@ -19,7 +19,7 @@ from .denominators import (
     denom_term,
     growth_estimate,
     omega_product,
-    primitive_part,
+    primitive_parts,
     primitive_report,
 )
 from .heights import (

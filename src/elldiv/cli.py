@@ -1,8 +1,12 @@
 """Command-line front end: fixture files in, CSV/JSON reports out.
 
-Exit codes: 0 success, 1 usage error (an out-of-range option included)
-or fixture parse error, 2 mathematical precondition violation (torsion P,
-nP+Q hitting the identity, ...), 3 verification-suite failure.
+Exit codes: 0 success, 1 usage error (an out-of-range option or
+ELLDIV_THREADS value included) or fixture parse error, 2 mathematical
+precondition violation (torsion P, nP+Q hitting the identity, ...),
+3 verification-suite failure.
+
+ELLDIV_THREADS, an integer >= 1 (default 1), sets the number of worker
+processes for ``ltcount``; it is read here and nowhere in the library.
 
 Fixture grammar (keys separated by newlines or semicolons, # comments):
 
@@ -20,6 +24,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +35,7 @@ from .denominators import (
     NonTorsionQError,
     bad_set,
     denom_sequence,
+    primitive_parts,
     primitive_report,
 )
 from .heights import NonConvergenceError, canonical_height
@@ -157,9 +163,8 @@ def _cmd_primdiv(fixture: Fixture, args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "x_num", "x_den", "C_n", "D_n", "primitive_part",
                      "has_primitive", "certificate_prime", "fully_factored"])
-    history: list[int] = []
-    for term in terms:
-        report = primitive_report(fixture.p, fixture.q, term.n, history, args.factor_budget)
+    for term, part in primitive_parts(terms):
+        report = primitive_report(term, part, args.factor_budget)
         writer.writerow([
             term.n, term.numerator, term.denominator, term.numerator, term.denominator,
             report.primitive_part,
@@ -167,7 +172,6 @@ def _cmd_primdiv(fixture: Fixture, args) -> int:
             "" if report.certificate_prime is None else report.certificate_prime,
             "true" if report.fully_factored else "false",
         ])
-        history.append(term.denominator)
     return 0
 
 
@@ -184,7 +188,12 @@ def _cmd_height(fixture: Fixture, args) -> int:
 
 
 def _cmd_ltcount(fixture: Fixture, args) -> int:
-    result = lang_trotter_sweep(fixture.p, fixture.q, args.x, keep_primes=args.keep_primes)
+    try:
+        workers = _int_at_least(1)(os.environ.get("ELLDIV_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"ELLDIV_THREADS: {exc}")
+    result = lang_trotter_sweep(fixture.p, fixture.q, args.x, keep_primes=args.keep_primes,
+                                workers=workers)
     _emit_json({
         "label": fixture.label,
         "x": str(result.x),

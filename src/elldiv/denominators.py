@@ -5,11 +5,16 @@ computes the terms exactly, identifies the finite set of bad primes,
 extracts primitive parts (the portion of D_n coprime to the whole history
 D_1 ... D_{n-1}), certifies primitive divisors, counts distinct primes of
 the product, and fits the quadratic-exponential growth rate.
+
+``denom_sequence`` is the one stream of terms: each term carries its point
+nP+Q, so consumers take the term they are given and never recompute a
+scalar multiple. ``primitive_parts`` walks that stream once and keeps the
+history of earlier denominators itself.
 """
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .heights import log_int
 from .numtheory import factorize, DEFAULT_RHO_BUDGET
@@ -33,7 +38,7 @@ class NonTorsionQError(ValueError):
 
 
 class IncompleteHistoryError(ValueError):
-    """primitive_part needs every D_m for m < n."""
+    """primitive_parts needs the terms in order n = 1, 2, 3, ..., none missing."""
 
 
 @dataclass(frozen=True)
@@ -146,44 +151,47 @@ def strip_shared_primes(value: int, other: int) -> int:
     return value
 
 
-def primitive_part(term: DenomTerm, history: list[int]) -> int:
-    """The largest divisor of D_n coprime to D_1 * ... * D_{n-1}.
+def primitive_parts(terms: Iterable[DenomTerm]) -> Iterator[tuple[DenomTerm, int]]:
+    """Each term paired with its primitive part.
 
-    Its prime divisors are exactly the primitive divisors of D_n, found by
-    iterated gcd stripping with no factoring at all.
+    The primitive part of D_n is its largest divisor coprime to
+    D_1 * ... * D_{n-1}. Its prime divisors are exactly the primitive
+    divisors of D_n, found by iterated gcd stripping with no factoring at
+    all. The terms must arrive as n = 1, 2, 3, ..., as ``denom_sequence``
+    yields them; a gap or a repeat raises IncompleteHistoryError when that
+    term is reached.
     """
-    if len(history) != term.n - 1:
-        raise IncompleteHistoryError(
-            f"term {term.n} needs {term.n - 1} earlier denominators, got {len(history)}"
-        )
-    part = term.denominator
-    for earlier in history:
-        part = strip_shared_primes(part, earlier)
-        if part == 1:
-            break
-    return part
+    history: list[int] = []
+    for term in terms:
+        if term.n != len(history) + 1:
+            raise IncompleteHistoryError(
+                f"term {term.n} needs {term.n - 1} earlier denominators, got {len(history)}"
+            )
+        part = term.denominator
+        for earlier in history:
+            part = strip_shared_primes(part, earlier)
+            if part == 1:
+                break
+        yield term, part
+        history.append(term.denominator)
 
 
 def primitive_report(
-    p_point: Point,
-    q_point: Point,
-    n: int,
-    history: list[int],
+    term: DenomTerm,
+    part: int,
     rho_budget: int = DEFAULT_RHO_BUDGET,
 ) -> PrimitiveDivisorReport:
-    """Primitive-divisor certificate for the n-th term.
+    """Primitive-divisor certificate for a term and its primitive part.
 
     has_primitive needs no factoring. The certificate prime is the smallest
     prime factor of the primitive part found within the budget; if nothing
     splits, the part itself still witnesses that primitive divisors exist.
     """
-    term = denom_term(p_point, q_point, n)
-    part = primitive_part(term, history)
     if part == 1:
-        return PrimitiveDivisorReport(n, 1, False, None, True)
+        return PrimitiveDivisorReport(term.n, 1, False, None, True)
     fac = factorize(part, rho_budget)
     certificate = min(fac.factors) if fac.factors else None
-    return PrimitiveDivisorReport(n, part, True, certificate, fac.is_complete)
+    return PrimitiveDivisorReport(term.n, part, True, certificate, fac.is_complete)
 
 
 def _coprime_support(values: list[int]) -> list[int]:

@@ -164,16 +164,16 @@ def observed_height_constants(
     return HeightConstants(translation, comparison, pairing)
 
 
-def siegel_ratio(p_point: Point, q_point: Point, n: int, place: int | None) -> float:
-    """Share of the height of nP+Q carried by one place.
+def siegel_ratio(point: Point, place: int | None) -> float:
+    """Share of the naive height of an affine point carried by one place.
 
     ``place`` is a finite prime, or ARCHIMEDEAN (None) for the real place.
-    The ratio of the weighted local height to the full naive height tends
-    to 0 in n for every fixed place; this evaluates one sample of it.
+    Evaluated on the terms of a denominator sequence (``term.point`` is
+    nP+Q), the ratio of the weighted local height to the full naive height
+    tends to 0 in n for every fixed place; this evaluates one sample of it.
     """
-    point = n * p_point + q_point
     if point.is_identity:
-        raise IdentityPointError(f"{n}P+Q is the identity")
+        raise IdentityPointError("the identity has no height to share")
     total = naive_height(point)
     if total == 0.0:
         return 0.0

@@ -12,10 +12,10 @@ E(F_p) itself is not cyclic. When Q is torsion of order t over Q, the
 orbit sweep takes S from t once per call, so it factors nothing and
 searches no ord(Q) per prime; otherwise S is the set of primes of M.
 
-Group orders come from exhaustive counting for small p. Above that they
-come from BSGS orders of random points on E and on its quadratic twist
-E': since #E + #E' = 2p + 2, the two lcms of sampled orders narrow the
-Hasse interval to one value, which Mestre's theorem guarantees for
+Group orders come from exhaustive counting for p <= 229. Above that
+they come from BSGS orders of random points on E and on its quadratic
+twist E': since #E + #E' = 2p + 2, the two lcms of sampled orders narrow
+the Hasse interval to one value, which Mestre's theorem guarantees for
 p > 229.
 
 Every operation is deterministic: the random points used by order-finding
@@ -23,20 +23,18 @@ are drawn from a generator seeded by (p, curve coefficients), so results
 do not depend on call order or parallel scheduling.
 """
 
+import functools
 import hashlib
 import math
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .numtheory import factorize, primes_upto
 from .rational_ec import Point, WeierstrassCurve, require_infinite_order, torsion_order
 
-ENUMERATION_CUTOFF = 10 ** 4   # group_order enumerates below, BSGS above
-MESTRE_BOUND = 229             # group_order_by_bsgs enumerates at or below
+MESTRE_BOUND = 229             # group_order enumerates at or below
 BSGS_SAMPLE_LIMIT = 8          # random points per curve
 
 
@@ -350,14 +348,14 @@ def _hasse_candidate(p: int, order_lcm: int, twist_lcm: int) -> int | None:
     return found[0] if len(found) == 1 else None
 
 
-def group_order_by_bsgs(cp: FpCurve) -> int:
-    """#E(F_p) from BSGS orders of random points on E and its quadratic twist.
+def group_order(cp: FpCurve) -> int:
+    """#E(F_p): enumerated for p <= 229, from BSGS point orders above.
 
-    The lcms of sampled point orders on E and on the twist E' divide #E
-    and #E' = 2p + 2 - #E. Sampling alternates between the two curves
-    until one value in the Hasse interval fits both. For p > 229 Mestre's
-    theorem guarantees that the group exponents of E and E' leave only
-    #E; at or below that bound the count is enumerated.
+    Above the bound, the lcms of sampled point orders on E and on its
+    quadratic twist E' divide #E and #E' = 2p + 2 - #E. Sampling
+    alternates between the two curves until one value in the Hasse
+    interval fits both. For p > 229 Mestre's theorem guarantees that the
+    group exponents of E and E' leave only #E.
     """
     p = cp.p
     if p <= MESTRE_BOUND:
@@ -373,13 +371,6 @@ def group_order_by_bsgs(cp: FpCurve) -> int:
                 return order
     raise RuntimeError(f"group order mod {p} still ambiguous after "
                        f"{BSGS_SAMPLE_LIMIT} samples on E and its twist")
-
-
-def group_order(cp: FpCurve) -> int:
-    """#E(F_p), by enumeration for small p and BSGS order-finding beyond."""
-    if cp.p <= ENUMERATION_CUTOFF:
-        return group_order_by_enumeration(cp)
-    return group_order_by_bsgs(cp)
 
 
 def point_order(point: FpPoint, group_order_hint: int | None = None) -> int:
@@ -486,48 +477,34 @@ def sweep_primes(
     return count, members, skipped
 
 
-def _sweep_worker(args):
-    coeffs, p_xy, q_xy, chunk = args
-    curve = WeierstrassCurve(*coeffs)
-    p_point = Point(curve, Fraction(p_xy[0]), Fraction(p_xy[1]))
-    if q_xy is None:
-        q_point = Point(curve)
-    else:
-        q_point = Point(curve, Fraction(q_xy[0]), Fraction(q_xy[1]))
-    return sweep_primes(p_point, q_point, chunk)
-
-
 def lang_trotter_sweep(
     p_point: Point,
     q_point: Point,
     x: int,
     keep_primes: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> OrbitSweepResult:
     """Count primes p <= x, p not dividing disc, with Q mod p in <P mod p>.
 
-    The prime range may be split across processes (workers > 1); per-prime
-    results are independent and merged by commutative counting, so the
-    outcome is identical for every partition.
+    With workers > 1 the prime range is split across that many processes;
+    per-prime results are independent and merged by commutative counting,
+    so the outcome is identical for every partition. workers must be at
+    least 1; the library reads no environment setting.
     """
     require_infinite_order(p_point)
-    if workers is None:
-        workers = int(os.environ.get("ELLDIV_THREADS", "1"))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     primes = primes_upto(x)
 
-    if workers <= 1 or len(primes) < 64:
+    if workers == 1 or len(primes) < 64:
         count, members, skipped = sweep_primes(p_point, q_point, primes)
     else:
-        curve = p_point.curve
-        coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-        p_xy = (p_point.x, p_point.y)
-        q_xy = None if q_point.is_identity else (q_point.x, q_point.y)
         chunk_count = min(4 * workers, len(primes))
         size = -(-len(primes) // chunk_count)
         chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
         count, members, skipped = 0, [], []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for c, m, s in pool.map(_sweep_worker, [(coeffs, p_xy, q_xy, ch) for ch in chunks]):
+            for c, m, s in pool.map(functools.partial(sweep_primes, p_point, q_point), chunks):
                 count += c
                 members.extend(m)
                 skipped.extend(s)

@@ -76,8 +76,9 @@ def suite_heights(p_point: Point, q_point: Point, tol: float = 1e-4) -> list[Che
         pair_q = ht.height_pairing(p_point, q_point, tol)
         _check(results, "pairing_torsion_kernel", abs(pair_q) <= 6 * tol, f"<P,Q>={pair_q:.2e}")
 
+    terms = list(dn.denom_sequence(p_point, q_point, 40))
     ok = True
-    for term in dn.denom_sequence(p_point, q_point, 12):
+    for term in terms[:12]:
         fac = factorize(term.denominator)
         if not fac.is_complete:
             continue
@@ -86,13 +87,12 @@ def suite_heights(p_point: Point, q_point: Point, tol: float = 1e-4) -> list[Che
         ok = ok and abs(total - ht.naive_height(term.point)) < 1e-9
     _check(results, "local_decomposition", ok)
 
-    terms = list(dn.denom_sequence(p_point, q_point, 40))
     support = sorted({p for t in terms[:20] for p in factorize(t.denominator).factors})
     trend_ok = True
     for p in support:
-        ratios = [ht.siegel_ratio(p_point, q_point, t.n, p) for t in terms]
+        ratios = [ht.siegel_ratio(t.point, p) for t in terms]
         trend_ok = trend_ok and max(ratios[20:]) <= max(ratios[:20])
-    arch = [ht.siegel_ratio(p_point, q_point, t.n, ht.ARCHIMEDEAN) for t in terms]
+    arch = [ht.siegel_ratio(t.point, ht.ARCHIMEDEAN) for t in terms]
     trend_ok = trend_ok and max(arch[20:]) <= max(arch[:20])
     _check(results, "siegel_trend", trend_ok, f"{len(support)} finite places")
 
@@ -106,14 +106,10 @@ def suite_heights(p_point: Point, q_point: Point, tol: float = 1e-4) -> list[Che
 def _candidate_primes(terms, bad, rho_budget=1 << 14) -> set[int]:
     small = primes_upto(500)
     found: set[int] = set()
-    history: list[int] = []
-    for term in terms:
-        d = term.denominator
-        found.update(p for p in small if d % p == 0)
-        part = dn.primitive_part(term, history)
+    for term, part in dn.primitive_parts(terms):
+        found.update(p for p in small if term.denominator % p == 0)
         if part > 1:
             found.update(factorize(part, rho_budget).factors)
-        history.append(d)
     return {p for p in found if p not in bad}
 
 
@@ -140,12 +136,8 @@ def suite_sequence(p_point: Point, q_point: Point) -> list[CheckResult]:
     _check(results, "reduced_terms",
            all(gcd(abs(t.numerator), t.denominator) == 1 and t.denominator >= 1 for t in terms))
 
-    history: list[int] = []
-    sound = True
-    for t in terms:
-        part = dn.primitive_part(t, history)
-        sound = sound and all(gcd(part, d) == 1 for d in history)
-        history.append(t.denominator)
+    sound = all(gcd(part, earlier.denominator) == 1
+                for t, part in dn.primitive_parts(terms) for earlier in terms[:t.n - 1])
     _check(results, "primitive_part_soundness", sound)
 
     # formal-group law and divisibility hold for the untranslated sequence
@@ -192,7 +184,7 @@ def suite_modp(p_point: Point, q_point: Point) -> list[CheckResult]:
     for p in good:
         cp = modp.reduce_curve(curve, p)
         enum = modp.group_order_by_enumeration(cp)
-        dual_ok = dual_ok and enum == modp.group_order_by_bsgs(cp)
+        dual_ok = dual_ok and enum == modp.group_order(cp)
         hasse_ok = hasse_ok and (enum - p - 1) ** 2 <= 4 * p
     _check(results, "order_dual_route", dual_ok, f"{len(good)} primes")
     _check(results, "hasse_bound", hasse_ok)

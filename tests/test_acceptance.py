@@ -19,11 +19,11 @@ from elldiv.denominators import (
     denom_sequence,
     growth_estimate,
     omega_product,
-    primitive_part,
+    primitive_parts,
 )
 from elldiv.heights import canonical_height
 from elldiv.modp import (
-    group_order_by_bsgs,
+    group_order,
     group_order_by_enumeration,
     in_cyclic_subgroup,
     lang_trotter_sweep,
@@ -100,10 +100,8 @@ def test_criterion_3_parity(e37, p37, p65, q65):
     for p_point, q_point in [(p37, e37.identity()), (p65, q65)]:
         disc = p_point.curve.discriminant
         small = primes_upto(500)
-        history = []
-        for term in denom_sequence(p_point, q_point, 40):
+        for term, part in primitive_parts(denom_sequence(p_point, q_point, 40)):
             candidates = {p for p in small if term.denominator % p == 0}
-            part = primitive_part(term, history)
             if part > 1:
                 candidates.update(factorize(part, 1 << 16).factors)
             for p in candidates:
@@ -111,7 +109,6 @@ def test_criterion_3_parity(e37, p37, p65, q65):
                     checked += 1
                     if valuation(term.denominator, p) % 2:
                         violations.append((term.n, p))
-            history.append(term.denominator)
     elapsed = time.monotonic() - start
     ok = not violations and elapsed < 120
     assert report(3, ok, f"{checked} (n, p) parity checks, {len(violations)} violations, "
@@ -163,13 +160,10 @@ def test_criterion_4_lemma_suite(e37, p37, e65, p65, q65):
 
 
 def test_criterion_5_theorem1_exception_list(p65, q65):
-    history = []
-    exceptions = []
-    for term in denom_sequence(p65, q65, 60):
-        part = primitive_part(term, history)
-        if term.n >= 2 and part == 1:
-            exceptions.append(term.n)
-        history.append(term.denominator)
+    exceptions = [
+        term.n for term, part in primitive_parts(denom_sequence(p65, q65, 60))
+        if term.n >= 2 and part == 1
+    ]
 
     oracle = ShortModelCurve(1, 0, 0, -1, 0)
     denoms = [d for _, d in oracle.translated_multiples(
@@ -192,7 +186,7 @@ def test_criterion_6_mod_p_suite(e37, e65, p65, q65):
                 continue
             cp = reduce_curve(curve, p)
             enumerated = group_order_by_enumeration(cp)
-            if group_order_by_bsgs(cp) != enumerated or (enumerated - p - 1) ** 2 > 4 * p:
+            if group_order(cp) != enumerated or (enumerated - p - 1) ** 2 > 4 * p:
                 ok = False
             dual += 1
 
@@ -201,7 +195,7 @@ def test_criterion_6_mod_p_suite(e37, e65, p65, q65):
     cp3 = reduce_curve(e65, 3)
     member3 = in_cyclic_subgroup(reduce_point(q65, cp3), reduce_point(p65, cp3))
     ok = ok and member2 == (True, 2) and member3 == (False, None)
-    assert report(6, ok, f"BSGS == enumeration and Hasse for {dual} good p < 2000; "
+    assert report(6, ok, f"group_order == enumeration and Hasse for {dual} good p < 2000; "
                          f"membership p=2 -> {member2}, p=3 -> {member3}")
 
 

@@ -223,6 +223,11 @@ def test_ltcount_respects_thread_env(capsys, fixture_path, monkeypatch):
     code, threaded_out, _ = run_cli(capsys, "ltcount", path, "--x", "2000", "--keep-primes")
     assert code == 0
     assert json.loads(threaded_out) == json.loads(serial_out)
+    for bad in ("abc", "0", "-2"):
+        monkeypatch.setenv("ELLDIV_THREADS", bad)
+        code, out, err = run_cli(capsys, "ltcount", path, "--x", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("elldiv: error: ELLDIV_THREADS") and repr(bad) in err
 
 
 def test_verify_is_deterministic(capsys, fixture_path):

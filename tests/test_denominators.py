@@ -18,7 +18,7 @@ from elldiv.denominators import (
     denom_term,
     growth_estimate,
     omega_product,
-    primitive_part,
+    primitive_parts,
     primitive_report,
 )
 from elldiv.modp import reduce_curve, reduce_point
@@ -128,55 +128,62 @@ def test_bad_set_with_non_integral_torsion_q():
 
 
 def test_primitive_part_examples(e37, p37):
-    history = []
-    parts = []
-    for term in denom_sequence(p37, e37.identity(), 5):
-        parts.append(primitive_part(term, history))
-        history.append(term.denominator)
+    parts = [part for _, part in primitive_parts(denom_sequence(p37, e37.identity(), 5))]
     assert parts == [1, 1, 1, 1, 4]
 
-    fake = DenomTerm(3, 1, 12, e37.identity())
-    assert primitive_part(fake, [2, 5]) == 3   # all powers of 2 stripped
-    assert primitive_part(DenomTerm(2, 1, 1, e37.identity()), [7]) == 1
+    def fake_terms(values):
+        return [DenomTerm(i + 1, 1, v, e37.identity()) for i, v in enumerate(values)]
+
+    # all powers of 2 stripped from 12
+    assert [part for _, part in primitive_parts(fake_terms([2, 5, 12]))] == [2, 5, 3]
+    assert [part for _, part in primitive_parts(fake_terms([7, 1]))] == [7, 1]
+    term, part = next(primitive_parts(fake_terms([9])))
+    assert (term.n, part) == (1, 9)
 
 
 def test_primitive_part_requires_full_history(e37, p37):
     term = denom_term(p37, e37.identity(), 5)
     with pytest.raises(IncompleteHistoryError):
-        primitive_part(term, [1, 1])
+        next(primitive_parts([term]))
+    terms = list(denom_sequence(p37, e37.identity(), 4))
+    for out_of_order in (terms[:2] + terms[3:], terms[:2] + terms[1:]):
+        stream = primitive_parts(out_of_order)
+        assert [next(stream)[0].n, next(stream)[0].n] == [1, 2]
+        with pytest.raises(IncompleteHistoryError):
+            next(stream)
 
 
 def test_primitive_part_is_sound(p65, q65):
-    history = []
-    for term in denom_sequence(p65, q65, 40):
-        part = primitive_part(term, history)
+    terms = list(denom_sequence(p65, q65, 40))
+    for term, part in primitive_parts(terms):
         assert term.denominator % part == 0
-        assert all(gcd(part, earlier) == 1 for earlier in history)
-        history.append(term.denominator)
+        assert all(gcd(part, earlier.denominator) == 1 for earlier in terms[: term.n - 1])
 
 
 def test_primitive_report_examples(e37, p37, p65, q65):
-    report = primitive_report(p37, e37.identity(), 5, [1, 1, 1, 1])
+    stream37 = list(primitive_parts(denom_sequence(p37, e37.identity(), 5)))
+    report = primitive_report(*stream37[4])
+    assert report.n == 5
     assert report.has_primitive and report.primitive_part == 4
     assert report.certificate_prime == 2 and report.fully_factored
 
-    report = primitive_report(p37, e37.identity(), 1, [])
+    report = primitive_report(*stream37[0])
     assert not report.has_primitive and report.certificate_prime is None
 
-    report = primitive_report(p65, q65, 2, [1])
+    report = primitive_report(*list(primitive_parts(denom_sequence(p65, q65, 2)))[1])
     assert report.has_primitive and report.certificate_prime == 2
 
 
 def test_primitive_report_degrades_without_budget(p65, q65):
-    history = [t.denominator for t in denom_sequence(p65, q65, 17)]
+    term, part = list(primitive_parts(denom_sequence(p65, q65, 18)))[17]
     # part_18 is the square of a composite with no factor below the trial
     # bound, so with no rho budget nothing splits; the report still
     # certifies that a primitive divisor exists.
-    report = primitive_report(p65, q65, 18, history, rho_budget=0)
+    report = primitive_report(term, part, rho_budget=0)
     assert report.has_primitive
     assert report.certificate_prime is None
     assert not report.fully_factored
-    full = primitive_report(p65, q65, 18, history)
+    full = primitive_report(term, part)
     assert full.fully_factored and full.certificate_prime == 16210522753
 
 
@@ -221,17 +228,14 @@ def test_parity_of_valuations(e37, p37, p65, q65):
     # every prime dividing D_n to odd order must divide the discriminant
     for p_point, q_point in [(p37, e37.identity()), (p65, q65)]:
         disc = p_point.curve.discriminant
-        history = []
-        for term in denom_sequence(p_point, q_point, 40):
+        for term, part in primitive_parts(denom_sequence(p_point, q_point, 40)):
             candidates = {p for p in primes_upto(500) if term.denominator % p == 0}
-            part = primitive_part(term, history)
             if part > 1:
                 root = math.isqrt(part)
                 assert root * root == part   # parts are perfect squares here
             for p in candidates:
                 if disc % p != 0:
                     assert valuation(term.denominator, p) % 2 == 0
-            history.append(term.denominator)
 
 
 def test_formal_group_valuation_law(e37, p37, e65, p65):
@@ -272,20 +276,13 @@ def test_denominator_divisibility_matches_reduction_to_identity(e37, p37, p65, q
 
 def test_theorem1_no_exceptions_on_65a(p65, q65):
     # frozen regression baseline: every n in [2, 60] has a primitive divisor
-    history = []
-    exceptions = []
-    for term in denom_sequence(p65, q65, 60):
-        part = primitive_part(term, history)
-        if term.n >= 2 and part == 1:
-            exceptions.append(term.n)
-        history.append(term.denominator)
+    parts = [part for _, part in primitive_parts(denom_sequence(p65, q65, 60))]
+    exceptions = [n for n in range(2, 61) if parts[n - 1] == 1]
     assert exceptions == []
 
-    # independent recomputation through the short-model oracle
+    # independent recomputation through the short-model oracle: the same
+    # primitive part for every term, not only the same exceptions
     oracle = ShortModelCurve(1, 0, 0, -1, 0)
     denoms = [d for _, d in oracle.translated_multiples(
         (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)), 60)]
-    oracle_exceptions = [
-        n for n in range(2, 61) if strip_history(denoms[n - 1], denoms[: n - 1]) == 1
-    ]
-    assert oracle_exceptions == []
+    assert parts == [strip_history(denoms[n - 1], denoms[: n - 1]) for n in range(1, 61)]

@@ -117,13 +117,12 @@ def test_pairing_is_linear_in_the_first_argument(p37):
         assert abs(scaled - a * base) <= (3 * a + 3) * tol + 2e-3
 
 
-def test_siegel_ratio_examples(e37, p37):
-    identity = e37.identity()
-    assert siegel_ratio(p37, identity, 5, 2) == pytest.approx(1.0)
-    assert siegel_ratio(p37, identity, 2, ARCHIMEDEAN) == 0.0    # x = 1, height 0
-    assert siegel_ratio(p37, identity, 4, 3) == 0.0              # x = 2 is integral
+def test_siegel_ratio_examples(p37):
+    assert siegel_ratio(5 * p37, 2) == pytest.approx(1.0)
+    assert siegel_ratio(2 * p37, ARCHIMEDEAN) == 0.0    # x = 1, height 0
+    assert siegel_ratio(4 * p37, 3) == 0.0              # x = 2 is integral
     with pytest.raises(IdentityPointError):
-        siegel_ratio(p37, -2 * p37, 2, 2)
+        siegel_ratio(2 * p37 - 2 * p37, 2)
 
 
 @pytest.mark.parametrize("fixture_names", [("p37", None), ("p65", "q65")])
@@ -135,7 +134,7 @@ def test_siegel_ratios_trend_to_zero(fixture_names, request, e37):
     support = sorted({p for t in terms[:20] for p in factorize(t.denominator).factors})
     assert support, "fixture support should not be empty"
     for place in support + [ARCHIMEDEAN]:
-        ratios = [siegel_ratio(p_point, q_point, t.n, place) for t in terms]
+        ratios = [siegel_ratio(t.point, place) for t in terms]
         assert max(ratios[20:]) <= max(ratios[:20])
 
 

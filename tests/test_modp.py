@@ -7,7 +7,6 @@ from elldiv.modp import (
     BadReductionError,
     FpPoint,
     group_order,
-    group_order_by_bsgs,
     group_order_by_enumeration,
     in_cyclic_subgroup,
     lang_trotter_sweep,
@@ -89,15 +88,15 @@ def test_group_order_dual_route(e37, e65):
                 continue
             cp = reduce_curve(curve, p)
             enumerated = group_order_by_enumeration(cp)
-            assert group_order_by_bsgs(cp) == enumerated, f"p={p}"
+            assert group_order(cp) == enumerated, f"p={p}"
             assert (enumerated - p - 1) ** 2 <= 4 * p  # Hasse
 
 
 def test_group_order_bsgs_above_enumeration_cutoff(e65):
-    # spot-check the large-p path against enumeration
+    # spot-check the twist/BSGS route at large p against enumeration
     for p in (10007, 10937, 20011):
         cp = reduce_curve(e65, p)
-        assert group_order_by_bsgs(cp) == group_order_by_enumeration(cp)
+        assert group_order(cp) == group_order_by_enumeration(cp)
 
 
 def test_point_order(e65, p65, q65):
@@ -220,6 +219,10 @@ def test_sweep_parallel_matches_serial(p65, q65):
     serial = lang_trotter_sweep(p65, q65, 2000, keep_primes=True, workers=1)
     parallel = lang_trotter_sweep(p65, q65, 2000, keep_primes=True, workers=2)
     assert serial == parallel
+    assert lang_trotter_sweep(p65, q65, 2000, keep_primes=True) == serial
+    for workers in (0, -2):
+        with pytest.raises(ValueError):
+            lang_trotter_sweep(p65, q65, 100, workers=workers)
 
 
 def test_sweep_ratio_definition(p65, q65):
@@ -293,7 +296,7 @@ def test_sweep_parallel_matches_serial_beyond_order_two(oracle_case):
 def test_group_order_bsgs_on_cm_curves_uses_the_twist(coeffs, p):
     # the lcm of point orders on E alone leaves two candidates here
     cp = reduce_curve(WeierstrassCurve(*coeffs), p)
-    assert group_order_by_bsgs(cp) == group_order_by_enumeration(cp)
+    assert group_order(cp) == group_order_by_enumeration(cp)
 
 
 def test_sweep_requires_non_torsion_p(q65, e65):
