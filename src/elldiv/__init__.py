@@ -11,6 +11,7 @@ from .denominators import (
     CollisionWithIdentityError,
     DenomTerm,
     DistinctPrimeCount,
+    IncompleteFactorizationError,
     IncompleteHistoryError,
     NonTorsionQError,
     PrimitiveDivisorReport,

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error (an out-of-range option or
 ELLDIV_THREADS value included) or fixture parse error, 2 mathematical
 precondition violation (torsion P, nP+Q hitting the identity, ...),
-3 verification-suite failure.
+3 verification-suite failure, 4 ``badset`` could not fully factor the
+discriminant or den(x(Q)) within its budget.
 
 ELLDIV_THREADS, an integer >= 1 (default 1), sets the number of worker
 processes for ``ltcount``; it is read here and nowhere in the library.
@@ -32,6 +33,7 @@ from fractions import Fraction
 from . import suites
 from .denominators import (
     CollisionWithIdentityError,
+    IncompleteFactorizationError,
     NonTorsionQError,
     bad_set,
     denom_sequence,
@@ -309,6 +311,9 @@ def main(argv=None) -> int:
             NonConvergenceError) as exc:
         print(f"elldiv: precondition violated: {exc}", file=sys.stderr)
         return 2
+    except IncompleteFactorizationError as exc:
+        print(f"elldiv: incomplete factorization: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

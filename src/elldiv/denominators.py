@@ -41,6 +41,10 @@ class IncompleteHistoryError(ValueError):
     """primitive_parts needs the terms in order n = 1, 2, 3, ..., none missing."""
 
 
+class IncompleteFactorizationError(RuntimeError):
+    """bad_set could not fully factor the discriminant or den(x(Q)) within the budget."""
+
+
 @dataclass(frozen=True)
 class DenomTerm:
     """x(nP+Q) = numerator/denominator in lowest terms, denominator >= 1."""
@@ -115,7 +119,9 @@ def bad_set(q_point: Point, rho_budget: int = DEFAULT_RHO_BUDGET) -> BadPrimeSet
     """Primes dividing the discriminant, dividing 2*ord(Q), or where Q drops to O.
 
     Q must have finite order. The third class is, over Q, the primes dividing
-    the denominator of x(Q) for affine Q.
+    the denominator of x(Q) for affine Q. If the discriminant or den(x(Q))
+    does not fully factor within the budget, the set cannot be certified
+    and IncompleteFactorizationError is raised.
     """
     order = torsion_order(q_point)
     if order is None:
@@ -125,7 +131,7 @@ def bad_set(q_point: Point, rho_budget: int = DEFAULT_RHO_BUDGET) -> BadPrimeSet
 
     disc_fac = factorize(abs(q_point.curve.discriminant), rho_budget)
     if not disc_fac.is_complete:
-        raise RuntimeError("could not fully factor the discriminant within budget")
+        raise IncompleteFactorizationError("could not fully factor the discriminant within budget")
     for p in disc_fac.factors:
         reasons.setdefault(p, []).append(REASON_BAD_REDUCTION)
 
@@ -135,7 +141,7 @@ def bad_set(q_point: Point, rho_budget: int = DEFAULT_RHO_BUDGET) -> BadPrimeSet
     if not q_point.is_identity and q_point.x.denominator > 1:
         den_fac = factorize(q_point.x.denominator, rho_budget)
         if not den_fac.is_complete:
-            raise RuntimeError("could not fully factor den(x(Q)) within budget")
+            raise IncompleteFactorizationError("could not fully factor den(x(Q)) within budget")
         for p in den_fac.factors:
             reasons.setdefault(p, []).append(REASON_Q_NONINTEGRAL)
 
@@ -194,43 +200,20 @@ def primitive_report(
     return PrimitiveDivisorReport(term.n, part, True, certificate, fac.is_complete)
 
 
-def _coprime_support(values: list[int]) -> list[int]:
-    """Pairwise-coprime integers > 1 whose primes are exactly those of the inputs."""
-    basis: list[int] = []
-    pending = [abs(v) for v in values if abs(v) > 1]
-    while pending:
-        v = pending.pop()
-        if v == 1:
-            continue
-        for i, b in enumerate(basis):
-            g = gcd(v, b)
-            if g == 1:
-                continue
-            b_rest = strip_shared_primes(b, g)
-            v_rest = strip_shared_primes(v, g)
-            basis[i] = g
-            if b_rest > 1:
-                basis.append(b_rest)
-            if v_rest > 1:
-                pending.append(v_rest)
-            break
-        else:
-            basis.append(v)
-    return basis
+def omega_product(terms: Iterable[DenomTerm], rho_budget: int = DEFAULT_RHO_BUDGET) -> DistinctPrimeCount:
+    """Distinct primes dividing D_1 * ... * D_N, counted over the primitive parts.
 
-
-def omega_product(terms: list[DenomTerm], rho_budget: int = DEFAULT_RHO_BUDGET) -> DistinctPrimeCount:
-    """Distinct primes dividing the product of the D_n.
-
-    The denominators are first refined into a pairwise-coprime support by gcd
-    accumulation; each support element is then factored within the budget.
-    Elements that resist full factoring still carry at least one unseen
-    prime, so an incomplete answer is a certified lower bound.
+    The primitive parts are pairwise coprime and together carry exactly the
+    primes of the product, so each prime is counted once, in the part of the
+    first D_n it divides. Each part is factored within the budget; a part
+    that resists full factoring still holds at least one prime not listed,
+    so an incomplete answer is a certified lower bound. The terms must
+    arrive in order, as for ``primitive_parts``.
     """
     count = 0
     exact = True
-    for b in _coprime_support([t.denominator for t in terms]):
-        fac = factorize(b, rho_budget)
+    for _, part in primitive_parts(terms):
+        fac = factorize(part, rho_budget)
         count += len(fac.factors)
         if not fac.is_complete:
             count += 1

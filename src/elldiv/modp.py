@@ -250,9 +250,6 @@ def _seed(cp: FpCurve) -> int:
 
 def _random_affine(cp, rng):
     p = cp.p
-    if p == 2:
-        pts = [(x, y) for x in (0, 1) for y in (0, 1) if FpPoint(cp, x, y).on_curve()]
-        return rng.choice(pts) if pts else None
     inv2 = pow(2, -1, p)
     for _ in range(4 * p):
         x = rng.randrange(p)

@@ -137,7 +137,6 @@ def _as_perfect_power(n: int) -> tuple[int, int]:
     Denominator sequences are full of prime squares, which Pollard rho is
     hopeless at, so powers are peeled off before the rho stage.
     """
-    best = (n, 1)
     e = 2
     while (1 << e) <= n:
         root = _iroot(n, e)
@@ -145,7 +144,7 @@ def _as_perfect_power(n: int) -> tuple[int, int]:
             inner, inner_e = _as_perfect_power(root)
             return inner, e * inner_e
         e += 1
-    return best
+    return n, 1
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
@@ -213,13 +212,8 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
             if is_prime(n):
                 result.factors[n] = result.factors.get(n, 0) + 1
                 return result
-    if n == 1:
-        return result
-    if is_prime(n):
-        result.factors[n] = result.factors.get(n, 0) + 1
-        return result
 
-    # n is now composite with no prime factor below the trial bound
+    # n > 1 is now prime or has no prime factor below the trial bound
     pending = [(n, 1)]
     budget = rho_budget
     while pending:

@@ -80,6 +80,21 @@ class ShortModelCurve:
         return out
 
 
+def trial_division_primes(n):
+    """The distinct primes of n >= 1, by plain trial division (small n only)."""
+    primes = set()
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
 def strip_history(value, history):
     """Reference primitive part: plain loop, no shortcuts."""
     for earlier in history:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from elldiv import cli
+from elldiv import cli, denominators
 from elldiv.cli import FixtureParseError, parse_fixture
 from elldiv.suites import CheckResult
 
@@ -204,6 +204,18 @@ def test_math_preconditions_exit_2(capsys, fixture_path):
     non_torsion_q = fixture_path("curve=[0,0,1,-1,0]; P=[0,0]; Q=[1/4,-5/8]", "ntq.fixture")
     code, _, err = run_cli(capsys, "badset", non_torsion_q)
     assert code == 2
+
+
+def test_badset_unfactorable_discriminant_exits_4(capsys, fixture_path, monkeypatch):
+    # disc = -16 N^2 (4N + 27), N = 1000000000000037 * 10000000000000061; at
+    # the default budget this takes seconds to fail, so run with no rho budget
+    n = 1000000000000037 * 10000000000000061
+    path = fixture_path(f"curve=[0,0,0,{n},{-n}]; P=[1,1]; Q=O")
+    monkeypatch.setattr(cli, "bad_set", lambda q: denominators.bad_set(q, rho_budget=0))
+    code, out, err = run_cli(capsys, "badset", path)
+    assert code == 4 and out == ""
+    assert err.startswith("elldiv: ") and err.count("\n") == 1
+    assert "discriminant" in err
 
 
 def test_emitted_json_reparses(capsys, fixture_path):

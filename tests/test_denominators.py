@@ -11,6 +11,7 @@ from elldiv.denominators import (
     REASON_TORSION,
     CollisionWithIdentityError,
     DenomTerm,
+    IncompleteFactorizationError,
     IncompleteHistoryError,
     NonTorsionQError,
     bad_set,
@@ -24,7 +25,7 @@ from elldiv.denominators import (
 from elldiv.modp import reduce_curve, reduce_point
 from elldiv.numtheory import primes_upto, valuation
 from elldiv.rational_ec import TorsionPointError, WeierstrassCurve
-from _oracles import ShortModelCurve, strip_history
+from _oracles import ShortModelCurve, strip_history, trial_division_primes
 
 D37_FIRST_TEN = [1, 1, 1, 1, 4, 1, 9, 25, 49, 16]
 D65_FIRST_TEN = [1, 4, 25, 289, 11881, 498436, 90801841, 22217989249,
@@ -127,6 +128,17 @@ def test_bad_set_with_non_integral_torsion_q():
     assert set(bad.reasons[2]) == {REASON_TORSION, REASON_Q_NONINTEGRAL}
 
 
+def test_bad_set_raises_when_the_discriminant_does_not_factor():
+    # disc = -16 N^2 (4N + 27) with N a product of two 16-17 digit primes;
+    # with no rho budget nothing past trial division splits
+    n = 1000000000000037 * 10000000000000061
+    curve = WeierstrassCurve(0, 0, 0, n, -n)
+    with pytest.raises(IncompleteFactorizationError) as info:
+        bad_set(curve.identity(), rho_budget=0)
+    assert isinstance(info.value, RuntimeError)
+    assert "discriminant" in str(info.value)
+
+
 def test_primitive_part_examples(e37, p37):
     parts = [part for _, part in primitive_parts(denom_sequence(p37, e37.identity(), 5))]
     assert parts == [1, 1, 1, 1, 4]
@@ -204,6 +216,23 @@ def test_omega_product(e37, p37, p65, q65):
     # distinct primes seen in development: 2,5,17,109,353,13,733,149057,
     # 692917,73,966937,89,1361,49429,41,775152793
     assert exact.count == 16
+
+
+def test_omega_product_requires_terms_in_order(e37, p37):
+    terms = list(denom_sequence(p37, e37.identity(), 6))
+    for out_of_order in (terms[:2] + terms[3:], terms[:3] + terms[2:], terms[1:]):
+        with pytest.raises(IncompleteHistoryError):
+            omega_product(out_of_order)
+
+
+def test_omega_product_matches_trial_division_on_37a(e37, p37):
+    terms = list(denom_sequence(p37, e37.identity(), 20))
+    seen = set()
+    for term in terms:
+        seen |= trial_division_primes(term.denominator)
+        result = omega_product(terms[: term.n])
+        assert result.is_exact and result.count == len(seen)
+    assert len(seen) == 17
 
 
 def test_omega_lower_bound_under_budget(p65, q65):
