@@ -209,7 +209,7 @@ def _cmd_ltcount(fixture: Fixture, args) -> int:
 
 
 def _cmd_badset(fixture: Fixture, args) -> int:
-    bad = bad_set(fixture.q)
+    bad = bad_set(fixture.q, rho_budget=args.factor_budget)
     _emit_json({
         "label": fixture.label,
         "primes": [str(p) for p in bad.primes],
@@ -282,13 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Pollard-rho iteration budget per certificate")
 
     p = add("height", _cmd_height, "canonical height of P as JSON")
-    p.add_argument("--tol", type=_tolerance, default=1e-6, help="convergence tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="largest acceptable error bound")
 
     p = add("ltcount", _cmd_ltcount, "orbit-membership prime count up to x as JSON")
     p.add_argument("--x", type=_int_at_least(2), required=True, help="sweep bound")
     p.add_argument("--keep-primes", action="store_true", help="include the member primes")
 
-    add("badset", _cmd_badset, "excluded-prime set for the fixture as JSON")
+    p = add("badset", _cmd_badset, "excluded-prime set for the fixture as JSON")
+    p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_RHO_BUDGET,
+                   help="Pollard-rho iteration budget for the discriminant and den(x(Q))")
 
     p = add("verify", _cmd_verify, "run a named invariant suite")
     p.add_argument("--suite", required=True,

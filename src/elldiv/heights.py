@@ -5,24 +5,23 @@ is h(x) = log max(|num x|, den x); its exact decomposition over places is
 
     h(x) = sum_p v_p(den x) * log p  +  max(0, log |x|)
 
-and the canonical height is the quadratic limit (1/2) * 4^(-N) * h(2^N P),
-evaluated by literal repeated doubling with exact arithmetic.
+and the canonical height is normalized as the quadratic limit
+(1/2) * 4^(-N) * h(2^N P). It is evaluated as a sum of local heights
+(Silverman, Computing heights on elliptic curves, Math. Comp. 51, 1988):
+a multiple R = mP with nonsingular reduction at every prime has finite
+parts (1/2) v_p(den x(R)) log p, and the real part is Silverman's series
+for the archimedean local height, so 2^N P is never formed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .numtheory import valuation
 from .rational_ec import Point, torsion_order
 
 DEFAULT_TOLERANCE = 1e-6
-# Small points routinely have h(P) = h(2P) = 0, which would fake instant
-# convergence of the doubling limit. Successive gaps are therefore not
-# trusted until the doubled point's naive height clears a threshold (or
-# failing that, until MIN_DOUBLINGS), and never before two doublings.
-MIN_DOUBLINGS = 6
-MAX_DOUBLINGS = 12
-_NONDEGENERATE_HEIGHT = 1.0
 
 ARCHIMEDEAN = None  # place marker accepted by siegel_ratio
 
@@ -36,7 +35,7 @@ class NonConvergenceError(RuntimeError):
         self.gap = gap
         self.iterations = iterations
         super().__init__(
-            f"height limit gap {gap:.3e} still above tolerance after {iterations} doublings"
+            f"height error bound {gap:.3e} still above tolerance after {iterations} series terms"
         )
 
 
@@ -101,38 +100,185 @@ def archimedean_local_height(point: Point) -> float:
     return max(0.0, log_int(abs(x.numerator)) - log_int(x.denominator))
 
 
-def canonical_height(
-    point: Point,
-    tol: float = DEFAULT_TOLERANCE,
-    max_doublings: int = MAX_DOUBLINGS,
-) -> HeightEstimate:
-    """Neron-Tate height via the doubling limit (1/2) 4^(-N) h(2^N P).
+def canonical_height(point: Point, tol: float = DEFAULT_TOLERANCE) -> HeightEstimate:
+    """Neron-Tate height as a sum of local heights, with a proven error bound.
 
-    Torsion points (detected exactly) return 0 with no iteration. Otherwise
-    the point is doubled until successive estimates differ by less than
-    tol/2; the reported error bound max(last gap, tol) is a heuristic, not
-    a rigorous enclosure.
+    Let R = mP for the least m >= 1 at which R has nonsingular reduction at
+    every prime (tested exactly, without factoring). Then
+
+        hhat(P) = (log|a| + (1/4) * sum_{n<N} 4^(-n) l_n) / (2 m^2)  + error,
+
+    where a = num x(R), or num x(R) + den x(R) when |x(R)| < 1/2, and l_n
+    is the n-th term of Silverman's series for the archimedean local height
+    (Cohen, GTM 138, Alg. 7.5.7); the finite local heights of R are
+    (1/2) v_p(den x(R)) log p, and the log|Delta| terms of all places cancel
+    by the product formula.
+
+    error_bound = (T + E) / (2 m^2), a proven enclosure:
+
+    - T = L * 4^(-N) / 3 bounds the series tail. L bounds every |l_n|: it
+      is max(log sup|D|, log(4/f)) over both charts and both branches on
+      |t| <= 9/4, where D is the term's polynomial and f a lower bound for
+      max(|z(t)|, |w(t)|) from a Bezout identity b z + c w = 1.
+    - E = 2^-48 * (log|a| + (N+1) * sum_n 4^(-n) (1 + |l_n|)) + 2^-60 is
+      the rounding allowance. The doubling orbit is kept in binary fixed
+      point with enough bits that its drift moves the sum by under 2^-64,
+      the polynomial values are exact, and the rest covers correctly
+      rounded integer quotients, a libm log within one ulp, and the float
+      sums.
+
+    N is the least count with T <= 2^-54, so the value is as accurate as a
+    double allows whatever ``tol`` is; ``tol`` only decides whether the
+    bound suffices, and NonConvergenceError(gap=error_bound, iterations=N)
+    is raised when it does not. iterations_used is N. Torsion points
+    (detected exactly) return (0.0, 0.0, 0).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if torsion_order(point) is not None:
         return HeightEstimate(0.0, 0.0, 0)
+    m, multiple = 1, point
+    while not _nonsingular_everywhere(multiple):
+        m, multiple = m + 1, multiple + point
+    value, bound, terms = _archimedean_series(multiple)
+    estimate = HeightEstimate(value / (2 * m * m), bound / (2 * m * m), terms)
+    if estimate.error_bound > tol:
+        raise NonConvergenceError(estimate.error_bound, terms)
+    return estimate
 
-    estimate = naive_height(point) / 2.0
-    doubled = point
-    gap = math.inf
-    for n in range(1, max_doublings + 1):
-        doubled = doubled + doubled
-        height = naive_height(doubled)
-        nxt = height / (2.0 * 4 ** n)
-        gap = abs(nxt - estimate)
-        estimate = nxt
-        settled = n >= MIN_DOUBLINGS or (n >= 2 and height >= _NONDEGENERATE_HEIGHT)
-        if settled and gap < tol / 2:
-            return HeightEstimate(estimate, max(gap, tol), n)
-    if gap > tol:
-        raise NonConvergenceError(gap, max_doublings)
-    return HeightEstimate(estimate, max(gap, tol), max_doublings)
+
+def _nonsingular_everywhere(point: Point) -> bool:
+    """Whether an affine point reduces to a nonsingular point mod every prime.
+
+    With x = a/d^2 and y = b/d^3, the point reduces to O (nonsingular) at
+    the primes of d; at any other prime p it is singular exactly when p
+    divides Delta and both partials of the curve equation, whose numerators
+    are d^4 F_x and d^3 F_y. No prime of d divides both numerators (they
+    are -3a^2 and 2b mod d, with a and b prime to d), so one gcd decides.
+    """
+    c = point.curve
+    d = math.isqrt(point.x.denominator)
+    a, b = point.x.numerator, point.y.numerator * d ** 3 // point.y.denominator
+    f_x = c.a1 * b * d - 3 * a * a - 2 * c.a2 * a * d ** 2 - c.a4 * d ** 4
+    f_y = 2 * b + c.a1 * a * d + c.a3 * d ** 3
+    return math.gcd(c.discriminant, f_x, f_y) == 1
+
+
+def _archimedean_series(point: Point) -> tuple[float, float, int]:
+    """(log|a| + (1/4) sum_n 4^-n l_n, its error bound, terms N); see canonical_height.
+
+    Chart 0 is u = x and chart 1 is u = x + 1. In either, t = 1/u, and
+    doubling maps t to w(t)/z(t). A term stays in its chart when
+    |w| <= 2|z| (l = log|z|) and otherwise moves to the other one
+    (l = log|z +- w|), so |t| <= 2 along the whole orbit. t is held as an
+    integer over 2^bits and z, w are evaluated exactly, scaled by 2^(4 bits).
+    A rounding at step j grows by at most `expansion` per later step, so
+    each step drops log2(expansion) bits and the drift of the orbit moves
+    the sum by under 2^-64 at every step.
+    """
+    charts, lipschitz, expansion, ell_max = _series_constants(point.curve)
+    x = point.x
+    chart = 0 if 2 * abs(x.numerator) >= x.denominator else 1
+    a = x.numerator + chart * x.denominator
+    terms = max(1, math.ceil((54 * math.log(2) + math.log(ell_max / 3)) / math.log(4)))
+    step_bits = _log2_ceil(expansion)
+    bits = 66 + terms * step_bits + _log2_ceil(lipschitz)
+    t = (x.denominator << bits) // a
+    total = magnitude = 0.0
+    for n in range(terms):
+        z_poly, w_poly = charts[chart]
+        z = w = 0
+        power = 1
+        for i in range(5):
+            scaled = power << bits * (4 - i)
+            z, w, power = z + z_poly[i] * scaled, w + w_poly[i] * scaled, power * t
+        d = z
+        if abs(w) > 2 * abs(z):
+            d, chart = z + (1 - 2 * chart) * w, 1 - chart
+        ell = math.log(abs(d) / (1 << 4 * bits))
+        total += ell / 4 ** n
+        magnitude += (1 + abs(ell)) / 4 ** n
+        bits -= step_bits
+        t = (w << bits) // d
+    log_a = log_int(abs(a))
+    tail = ell_max / (3 * 4 ** terms)
+    rounding = 2.0 ** -48 * (log_a + (terms + 1) * magnitude) + 2.0 ** -60
+    return log_a + total / 4, tail + rounding, terms
+
+
+@functools.lru_cache(maxsize=16)
+def _series_constants(curve) -> tuple[tuple, Fraction, Fraction, float]:
+    """Per-chart (z, w) polynomials and the bounds the series needs on |t| <= 9/4.
+
+    Returns the charts, a Lipschitz constant for every l = log|D| and one
+    (at least 2) for every doubling step t -> w/D, both where |D| stays
+    above a quarter of the Bezout floor, and the bound L on |l|.
+    Polynomials are coefficient lists, constant term first.
+    """
+    bound = Fraction(9, 4)
+    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+    shifted = (b2 - 12, b4 - b2 + 6, b6 - 2 * b4 + b2 - 4, b8 - 3 * b6 + 3 * b4 - b2 + 3)
+    charts = []
+    lipschitz, expansion, ell_max = Fraction(1), Fraction(2), 0.0
+    for sign, (c2, c4, c6, c8) in ((1, (b2, b4, b6, b8)), (-1, shifted)):
+        z, w = [1, 0, -c4, -2 * c6, -c8], [0, 4, c2, 2 * c4, c6]
+        charts.append((tuple(z), tuple(w)))
+        low = _coprime_floor(z, w, bound) / 4
+        sup_w, sup_dw = _sup(w, bound), _sup(_derivative(w), bound)
+        for d in (z, [zi + sign * wi for zi, wi in zip(z, w)]):
+            sup_d, sup_dd = _sup(d, bound), _sup(_derivative(d), bound)
+            lipschitz = max(lipschitz, sup_dd / low)
+            expansion = max(expansion, (sup_dw * sup_d + sup_w * sup_dd) / low ** 2)
+            ell_max = max(ell_max, _log_fraction(sup_d), -_log_fraction(low))
+    return tuple(charts), lipschitz, expansion, ell_max
+
+
+def _coprime_floor(f, g, bound) -> Fraction:
+    """A lower bound for max(|f(t)|, |g(t)|) on |t| <= bound; f, g coprime.
+
+    Each step cancels the leading term of the row of higher degree against
+    the other row, keeping r = s*f + u*g on every row (r, s, u). At a
+    nonzero constant r, |r| <= (|s(t)| + |u(t)|) * max(|f(t)|, |g(t)|).
+    """
+    rows = [(f, [1], [0]), (g, [0], [1])]
+    while True:
+        rows.sort(key=lambda row: _degree(row[0]))
+        low, high = rows
+        dl, dh = _degree(low[0]), _degree(high[0])
+        if dl == 0:
+            return abs(Fraction(low[0][0])) / (_sup(low[1], bound) + _sup(low[2], bound))
+        c = Fraction(high[0][dh], low[0][dl])
+        rows[1] = tuple(_minus_shifted(h, c, dh - dl, l) for h, l in zip(high, low))
+
+
+def _degree(poly) -> int:
+    return max((i for i, c in enumerate(poly) if c), default=-1)
+
+
+def _minus_shifted(p, c, shift: int, q) -> list:
+    """p - c * t^shift * q."""
+    out = list(p) + [0] * (len(q) + shift - len(p))
+    for i, qi in enumerate(q):
+        out[i + shift] -= c * qi
+    return out
+
+
+def _sup(poly, bound) -> Fraction:
+    """sum |c_i| bound^i, an upper bound for |poly(t)| on |t| <= bound."""
+    return sum(abs(c) * bound ** i for i, c in enumerate(poly))
+
+
+def _derivative(poly) -> list:
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+def _log_fraction(q: Fraction) -> float:
+    return log_int(q.numerator) - log_int(q.denominator)
+
+
+def _log2_ceil(q: Fraction) -> int:
+    """An integer >= log2(q) for q >= 1."""
+    return q.numerator.bit_length() - q.denominator.bit_length() + 1
 
 
 def height_pairing(r_point: Point, m_point: Point, tol: float = DEFAULT_TOLERANCE) -> float:

@@ -160,12 +160,18 @@ def torsion_order(point: Point) -> int | None:
     """Order of ``point`` when finite, else None.
 
     Over Q the torsion order is at most 12 (Mazur), so any point surviving
-    multiples up to TORSION_SEARCH_BOUND has infinite order.
+    multiples up to TORSION_SEARCH_BOUND has infinite order. On an integral
+    model every torsion point has x in Z, except order 2, where 4x is in Z
+    (Nagell-Lutz; Silverman, AEC VII.3.4; Cremona, Algorithms for Modular
+    Elliptic Curves, 3.3), so the scan stops at the first multiple whose
+    x-denominator does not divide 4.
     """
     if point.is_identity:
         return 1
     acc = point
     for n in range(2, TORSION_SEARCH_BOUND + 1):
+        if 4 % acc.x.denominator:
+            return None
         acc = acc + point
         if acc.is_identity:
             return n

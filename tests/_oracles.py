@@ -6,6 +6,7 @@ a deliberately different formula route from the library's general-model
 chord-tangent code, so agreement is a meaningful dual check.
 """
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -78,6 +79,50 @@ class ShortModelCurve:
                 raise RuntimeError("hit the identity")
             out.append((current[0].numerator, current[0].denominator))
         return out
+
+
+def torsion_scan(curve, pt, bound=16):
+    """Order of pt (the identity, None, has order 1) by plain addition up to bound, else None."""
+    if pt is None:
+        return 1
+    acc = pt
+    for n in range(2, bound + 1):
+        acc = curve.add(acc, pt)
+        if acc is None:
+            return n
+    return None
+
+
+class DoublingLimitError(RuntimeError):
+    def __init__(self, gap, iterations):
+        self.gap = gap
+        self.iterations = iterations
+        super().__init__(f"doubling gap {gap:.3e} after {iterations} doublings")
+
+
+def doubling_limit(curve, pt, tol=0.0, max_doublings=8):
+    """(1/2) 4^-N h(x(2^N P)), the limit definition of the canonical height.
+
+    Doubles until, from N = 2 on, two successive values differ by less than
+    tol/2, or until max_doublings; with tol = 0 it returns the value at
+    N = max_doublings. Raises DoublingLimitError when the last gap is still
+    above a positive tol.
+    """
+    def half_height(point, n):
+        x = point[0]
+        return math.log(max(abs(x.numerator), x.denominator)) / (2 * 4 ** n)
+
+    estimate = half_height(pt, 0)
+    gap = math.inf
+    for n in range(1, max_doublings + 1):
+        pt = curve.add(pt, pt)
+        nxt = half_height(pt, n)
+        gap, estimate = abs(nxt - estimate), nxt
+        if n >= 2 and gap < tol / 2:
+            return estimate
+    if tol > 0 and gap > tol:
+        raise DoublingLimitError(gap, max_doublings)
+    return estimate
 
 
 def trial_division_primes(n):

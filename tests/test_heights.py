@@ -18,7 +18,8 @@ from elldiv.heights import (
 )
 from elldiv.denominators import denom_sequence
 from elldiv.numtheory import factorize
-from elldiv.rational_ec import Point
+from elldiv.rational_ec import Point, WeierstrassCurve
+from _oracles import DoublingLimitError, ShortModelCurve, doubling_limit
 
 
 def test_log_int():
@@ -168,10 +169,47 @@ def test_observed_height_constants(p37, p65, q65, e37):
 
 
 def test_non_convergence_reports_gap(p65):
+    # the bound bottoms out near double precision, far above 1e-300
     with pytest.raises(NonConvergenceError) as info:
-        canonical_height(p65, 1e-9, max_doublings=7)
+        canonical_height(p65, 1e-300)
+    assert info.value.gap > 1e-300
+    assert info.value.iterations == canonical_height(p65).iterations_used >= 1
+
+
+def test_oracle_doubling_limit_reports_gap(p65):
+    with pytest.raises(DoublingLimitError) as info:
+        doubling_limit(ShortModelCurve(1, 0, 0, -1, 0), (p65.x, p65.y), 1e-9, max_doublings=7)
     assert info.value.gap > 1e-9
     assert info.value.iterations == 7
+
+
+# (curve, P, hhat(P) frozen to six decimals). 389a and y^2 = x^3 - 2 were
+# checked against exact doubling up to 2^9 P; [0,0,8,-16,0] is 37a scaled
+# by u = 2, a non-minimal model; y^2 = x^3 - 4x + 4 needs m = 2; on the
+# last curve the series changes chart at its first and third terms.
+ENCLOSURE_CASES = [
+    ((0, 1, 1, -2, 0), (0, 0), 0.163500),
+    ((0, 0, 0, 0, -2), (3, 5), 0.674788),
+    ((0, 0, 0, -4, 4), (0, 2), 0.080529),
+    ((0, 0, 8, -16, 0), (0, 0), 0.025556),
+    ((0, -1, 1, -3, 4), (2, 1), 0.388587),
+]
+
+
+@pytest.mark.parametrize("coeffs, xy, frozen", ENCLOSURE_CASES)
+def test_error_bound_encloses_the_true_height(coeffs, xy, frozen):
+    point = WeierstrassCurve(*coeffs).point(*xy)
+    est = canonical_height(point, 1e-4)
+    oracle = doubling_limit(ShortModelCurve(*coeffs), (point.x, point.y), max_doublings=8)
+    assert abs(est.value - oracle) <= 1e-5
+    assert 0 < est.error_bound <= 1e-4
+    assert abs(est.value - frozen) <= est.error_bound + 5e-7   # half a unit in the 6th place
+
+
+def test_height_does_not_depend_on_the_model(p37):
+    scaled = WeierstrassCurve(0, 0, 8, -16, 0).point(0, 0)   # 37a with u = 2
+    one, other = canonical_height(p37), canonical_height(scaled)
+    assert abs(one.value - other.value) <= one.error_bound + other.error_bound
 
 
 def test_tolerance_must_be_positive(p37):

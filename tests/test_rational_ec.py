@@ -9,7 +9,7 @@ from elldiv.rational_ec import (
     WeierstrassCurve,
     torsion_order,
 )
-from _oracles import ShortModelCurve
+from _oracles import ShortModelCurve, torsion_scan
 
 
 def test_curve_invariants_37():
@@ -138,6 +138,42 @@ def test_torsion_order_consistency():
     assert t == 2
     assert (t * q).is_identity
     assert not q.is_identity
+
+
+# (curve, T, order of T): 65a Q, the order-3 point of test_modp, and
+# Tate-normal-form curves with T = (0, 0)
+TORSION_CASES = [
+    ((1, 0, 0, -1, 0), (0, 0), 2),
+    ((0, 1, 0, -2, 1), (0, -1), 3),
+    ((1, -2, -2, 0, 0), (0, 0), 4),
+    ((-1, -2, -2, 0, 0), (0, 0), 5),
+    ((-1, -6, -6, 0, 0), (0, 0), 6),
+    ((-1, -4, -4, 0, 0), (0, 0), 7),
+    ((-1, -12, -24, 0, 0), (0, 0), 8),
+    ((-3, -12, -12, 0, 0), (0, 0), 9),
+]
+
+
+@pytest.mark.parametrize("coeffs, point, order", TORSION_CASES)
+def test_torsion_order_matches_the_plain_scan(coeffs, point, order):
+    curve = WeierstrassCurve(*coeffs)
+    oracle = ShortModelCurve(*coeffs)
+    t = curve.point(*point)
+    assert torsion_scan(oracle, (t.x, t.y)) == order
+    for k in range(1, order + 1):
+        multiple = k * t
+        expected = torsion_scan(oracle, None if multiple.is_identity else (multiple.x, multiple.y))
+        assert torsion_order(multiple) == expected
+    assert torsion_order(t) == order
+
+
+def test_torsion_order_exits_on_points_of_infinite_order(e37, p37, p65, q65):
+    for p_point, q_point in [(p37, e37.identity()), (p65, q65)]:
+        multiple = p_point.curve.identity()
+        for _ in range(30):
+            multiple = multiple + p_point
+            assert torsion_order(multiple) is None
+            assert torsion_order(multiple + q_point) is None
 
 
 def test_cross_curve_addition_rejected(e37, e65, p37, p65):
