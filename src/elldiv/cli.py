@@ -209,7 +209,7 @@ def _cmd_ltcount(fixture: Fixture, args) -> int:
 
 
 def _cmd_badset(fixture: Fixture, args) -> int:
-    bad = bad_set(fixture.q, rho_budget=args.factor_budget)
+    bad = bad_set(fixture.q)
     _emit_json({
         "label": fixture.label,
         "primes": [str(p) for p in bad.primes],
@@ -288,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_int_at_least(2), required=True, help="sweep bound")
     p.add_argument("--keep-primes", action="store_true", help="include the member primes")
 
-    p = add("badset", _cmd_badset, "excluded-prime set for the fixture as JSON")
-    p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_RHO_BUDGET,
-                   help="Pollard-rho iteration budget for the discriminant and den(x(Q))")
+    add("badset", _cmd_badset, "excluded-prime set for the fixture as JSON")
 
     p = add("verify", _cmd_verify, "run a named invariant suite")
     p.add_argument("--suite", required=True,

@@ -71,15 +71,14 @@ def suite_heights(p_point: Point, q_point: Point, tol: float = 1e-4) -> list[Che
     results = []
     base = ht.canonical_height(p_point, tol)
 
-    ok = True
+    # the deviation itself is float round-off, so report it as a share of the
+    # proven bound: that figure does not depend on the platform's last bits
     worst = 0.0
     for n in range(2, 6):
         est = ht.canonical_height(n * p_point, tol)
-        err = abs(est.value - n * n * base.value)
-        budget = (n * n + 1) * tol + est.error_bound + n * n * base.error_bound
-        worst = max(worst, err)
-        ok = ok and err <= budget
-    _check(results, "quadraticity", ok, f"max deviation {worst:.2e}")
+        bound = est.error_bound + n * n * base.error_bound
+        worst = max(worst, abs(est.value - n * n * base.value) / bound)
+    _check(results, "quadraticity", worst <= 1.0, f"max deviation {worst:.2f} of the error bound")
 
     pair_self = ht.height_pairing(p_point, p_point, tol)
     _check(results, "pairing_self", abs(pair_self - 2 * base.value) <= 8 * tol,
