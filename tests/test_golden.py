@@ -1,7 +1,10 @@
 """CLI stdout on the shipped fixtures, compared byte for byte with stored output.
 
-The files under tests/golden/ were written by the CLI before the term-stream
-refactor; a change that alters any row, check line or formatting fails here.
+The files under tests/golden/ were written by the CLI before the refactors they
+guard (the term stream; batch trial division in factorize); a change that
+alters any row, check line or formatting fails here. The budget-2^16 primdiv
+case is the benchmark's certify argv: it pins certificate primes and
+fully_factored flags that the n = 25 rows do not reach.
 """
 
 from pathlib import Path
@@ -15,6 +18,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = [
     (["primdiv", "--n", "25"], "primdiv-n25"),
+    (["primdiv", "--n", "40", "--factor-budget", "65536"], "primdiv-n40-b65536"),
     (["verify", "--suite", "all"], "verify-all"),
 ]
 
