@@ -1,9 +1,11 @@
 """Elementary integer utilities: prime sieve, factorization, valuations.
 
-Factoring is best-effort by design: trial division up to a fixed bound,
-then Pollard rho (Brent variant) under an iteration budget. Whatever does
-not split within the budget is reported as an unfactored cofactor instead
-of raising, so callers can degrade gracefully.
+Factoring is best-effort by design: batch trial division by the primes
+below a fixed bound, then Pollard rho (Brent variant) under an iteration
+budget. Whatever does not split within the budget is reported as an
+unfactored cofactor instead of raising, so callers can degrade gracefully.
+Every prime listed in a factorization passed ``is_prime``: a proof below
+3.317e24, the BPSW test above.
 """
 
 import math
@@ -11,38 +13,108 @@ from dataclasses import dataclass, field
 
 TRIAL_DIVISION_BOUND = 10 ** 6
 DEFAULT_RHO_BUDGET = 1 << 22
+# primes per gcd in batch trial division; 200 primes near 10^6 make a
+# product of about 4,000 bits
+TRIAL_CHUNK = 200
 
-# Deterministic Miller-Rabin bases, valid for every n < 3.317e24
-# (Sorenson & Webster). Larger inputs get a strong probable-prime answer
-# from the same bases, still deterministic for reproducibility.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Strong tests to the 13 prime bases 2..41 decide primality for every
+# n < psi_13 = 3317044064679887385961981 (Sorenson & Webster, Math. Comp.
+# 86, 2017); the 12 bases up to 37 do so only below psi_12 =
+# 318665857834031151167461, which passes all 12. The bases double as the
+# small-prime screen.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981
 
 _SMALL_PRIME_CACHE: list[int] = []
+_CHUNK_PRODUCTS: dict[int, int] = {}
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test with fixed deterministic bases."""
+    """Primality of an integer, proven below 3.317e24 and BPSW above.
+
+    Below psi_13 = 3317044064679887385961981 the strong tests to the bases
+    2..41 are a proof. From psi_13 on the answer is BPSW: a strong test to
+    base 2 and a strong Lucas test with Selfridge's parameters
+    (Baillie & Wagstaff, Math. Comp. 35, 1980). No composite is known to
+    pass BPSW, but none is proven not to exist above 2^64. The answer is
+    deterministic either way.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < _MR_PROVEN_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin strong test of odd n > a to base a."""
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 3 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4. With n + 1 = d 2^s, n passes when U_d = 0 or
+    V_{d 2^r} = 0 for some r < s (all mod n). No such D exists for a square.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:
+        # D shares a factor with n, so n is prime only if it is |D| itself
+        return n == abs(D)
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # binary ladder from k = 1: U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k,
+    # U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2, halving mod odd n
+    U, V, Qk = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def primes_upto(limit: int, *, segment_size: int = 1 << 18) -> list[int]:
@@ -79,6 +151,16 @@ def _small_primes() -> list[int]:
     if not _SMALL_PRIME_CACHE:
         _SMALL_PRIME_CACHE.extend(primes_upto(TRIAL_DIVISION_BOUND))
     return _SMALL_PRIME_CACHE
+
+
+def _chunk_product(start: int) -> int:
+    # product of the TRIAL_CHUNK small primes from index start, built on
+    # first use so that factoring small numbers never pays for the table
+    product = _CHUNK_PRODUCTS.get(start)
+    if product is None:
+        product = math.prod(_small_primes()[start : start + TRIAL_CHUNK])
+        _CHUNK_PRODUCTS[start] = product
+    return product
 
 
 def valuation(n: int, p: int) -> int:
@@ -135,15 +217,15 @@ def _as_perfect_power(n: int) -> tuple[int, int]:
     """(root, e) with root**e == n and e maximal; (n, 1) if n is no power.
 
     Denominator sequences are full of prime squares, which Pollard rho is
-    hopeless at, so powers are peeled off before the rho stage.
+    hopeless at, so powers are peeled off before the rho stage. Only prime
+    exponents are tried: an (ab)-th power is an a-th power, and the
+    recursion on the root finds the rest.
     """
-    e = 2
-    while (1 << e) <= n:
+    for e in primes_upto(n.bit_length() - 1):
         root = _iroot(n, e)
         if root ** e == n:
             inner, inner_e = _as_perfect_power(root)
             return inner, e * inner_e
-        e += 1
     return n, 1
 
 
@@ -172,7 +254,7 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
                 steps = min(m, r - k)
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 spent += steps
                 g = math.gcd(q, n)
                 k += m
@@ -182,7 +264,7 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g, spent
         # g == n means the whole cycle collapsed; retry with the next constant
@@ -190,7 +272,15 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
 
 
 def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
-    """Factor n >= 1: trial division to 10^6, then budgeted Pollard rho."""
+    """Factor n >= 1: batch trial division to 10^6, then budgeted Pollard rho.
+
+    Trial division takes one gcd of n with the product of each chunk of
+    TRIAL_CHUNK consecutive small primes and scans only the chunks that
+    share a factor with n (Bernstein, *How to find smooth parts of
+    integers*, 2004). It stops at the first chunk whose least prime p has
+    p*p > n, since what is left is then 1 or a prime. Primes are listed in
+    the order found: the small ones ascending, then the rest.
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     result = Factorization()
@@ -201,19 +291,20 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         result.factors[n] = 1
         return result
 
-    for p in _small_primes():
-        if p * p > n:
+    primes = _small_primes()
+    for start in range(0, len(primes), TRIAL_CHUNK):
+        if primes[start] ** 2 > n:
             break
-        if n % p == 0:
-            result.factors[p] = valuation(n, p)
-            n //= p ** result.factors[p]
-            if n == 1:
-                return result
-            if is_prime(n):
-                result.factors[n] = result.factors.get(n, 0) + 1
-                return result
+        shared = math.gcd(n, _chunk_product(start))
+        for p in primes[start : start + TRIAL_CHUNK]:
+            if shared == 1:
+                break
+            if shared % p == 0:
+                shared //= p
+                result.factors[p] = valuation(n, p)
+                n //= p ** result.factors[p]
 
-    # n > 1 is now prime or has no prime factor below the trial bound
+    # n is now 1, a prime, or free of primes below the trial bound
     pending = [(n, 1)]
     budget = rho_budget
     while pending:

@@ -6,9 +6,18 @@ a deliberately different formula route from the library's general-model
 chord-tangent code, so agreement is a meaningful dual check.
 """
 
+import functools
 import math
 from fractions import Fraction
 from math import gcd
+
+from elldiv.numtheory import (
+    DEFAULT_RHO_BUDGET,
+    TRIAL_DIVISION_BOUND,
+    Factorization,
+    is_prime,
+    primes_upto,
+)
 
 
 class ShortModelCurve:
@@ -148,3 +157,121 @@ def strip_history(value, history):
             value //= g
             g = gcd(value, g)
     return value
+
+
+@functools.cache
+def _trial_primes():
+    return primes_upto(TRIAL_DIVISION_BOUND)
+
+
+def _int_root(n, k):
+    """floor(n ** (1/k)) by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _perfect_power_by_every_exponent(n):
+    e = 2
+    while (1 << e) <= n:
+        root = _int_root(n, e)
+        if root ** e == n:
+            inner, inner_e = _perfect_power_by_every_exponent(root)
+            return inner, e * inner_e
+        e += 1
+    return n, 1
+
+
+def _brent_rho_with_abs(n, budget):
+    spent = 0
+    attempt = 0
+    while spent < budget:
+        attempt += 1
+        c = attempt
+        y = 2 + attempt
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1 and spent < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1 and spent < budget:
+                ys = y
+                steps = min(m, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                spent += steps
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g, spent
+    return None, spent
+
+
+def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
+    """Reference factorization by the route batch trial division replaced.
+
+    One n % p per prime below the trial bound, with a primality exit after
+    each prime found; then the same budgeted Brent rho (with |x - y| in the
+    product) and a perfect-power test over every exponent, not just primes.
+    The library's factorize must return the same factors in the same order
+    and the same unfactored cofactor. Primality and the sieve come from the
+    library; both are tested on their own.
+    """
+    result = Factorization()
+    if n == 1:
+        return result
+    if is_prime(n):
+        result.factors[n] = 1
+        return result
+    for p in _trial_primes():
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            result.factors[p] = e
+            if n == 1:
+                return result
+            if is_prime(n):
+                result.factors[n] = 1
+                return result
+    pending = [(n, 1)]
+    budget = rho_budget
+    while pending:
+        m, mult = pending.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            result.factors[m] = result.factors.get(m, 0) + mult
+            continue
+        root, e = _perfect_power_by_every_exponent(m)
+        if e > 1:
+            pending.append((root, mult * e))
+            continue
+        d = None
+        if budget > 0:
+            d, spent = _brent_rho_with_abs(m, budget)
+            budget -= spent
+        if d is None:
+            result.unfactored_cofactor *= m ** mult
+        else:
+            pending.append((d, mult))
+            pending.append((m // d, mult))
+    return result

@@ -3,14 +3,26 @@ import random
 
 import pytest
 
+from _oracles import factorize_by_prime_loop
+from elldiv.denominators import denom_sequence, primitive_parts
 from elldiv.numtheory import (
+    DEFAULT_RHO_BUDGET,
+    TRIAL_CHUNK,
     Factorization,
+    _strong_lucas_probable_prime,
     divisor_count,
     factorize,
     is_prime,
     primes_upto,
     valuation,
 )
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+PSI_12_FACTORS = (399165290221, 798330580441)
+PSI_13_FACTORS = (1287836182261, 2575672364521)
+PSI_12 = math.prod(PSI_12_FACTORS)
+PSI_13 = math.prod(PSI_13_FACTORS)
 
 
 def simple_sieve(limit):
@@ -59,9 +71,26 @@ def test_primes_upto_entries_pass_trial_division():
     (2 ** 61 - 1, True),      # Mersenne prime
     (2 ** 61 + 1, False),
     (10 ** 12 + 39, True),
+    (PSI_12, False),          # passes the strong tests to bases 2..37
+    (PSI_13, False),          # passes bases 2..41: decided by BPSW
+    (PSI_13 + 2, False),
+    (2 ** 89 - 1, True),      # Mersenne primes above psi_13
+    (2 ** 521 - 1, True),
+    ((2 ** 89 - 1) * (2 ** 107 - 1), False),
+    ((2 ** 89 - 1) ** 2, False),
 ])
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
+
+
+def test_strong_lucas_test_passes_exactly_primes_and_known_pseudoprimes():
+    # the odd composites below 10^5 that pass: OEIS A217255
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                    58519, 75077, 97439]
+    primes = set(primes_upto(10 ** 5))
+    passing = [n for n in range(5, 10 ** 5, 2) if _strong_lucas_probable_prime(n)]
+    assert [n for n in passing if n not in primes] == pseudoprimes
+    assert primes - {2, 3} <= set(passing)
 
 
 def test_valuation():
@@ -84,6 +113,10 @@ def test_factorize_examples():
     one = factorize(1)
     assert one.factors == {} and one.unfactored_cofactor == 1 and one.is_complete
     assert factorize(37888).factors == {2: 10, 37: 1}
+    for n, pair in ((PSI_12, PSI_12_FACTORS), (PSI_13, PSI_13_FACTORS)):
+        fac = factorize(n)
+        assert sorted(fac.factors.items()) == [(pair[0], 1), (pair[1], 1)]
+        assert fac.is_complete
 
 
 def test_factorize_prime_square_beyond_trial_bound():
@@ -109,6 +142,44 @@ def test_factorize_reconstructs_random_inputs():
         assert fac.is_complete, n
         assert fac.value == n
         assert all(is_prime(p) for p in fac.factors)
+
+
+def _factorization_inputs():
+    primes = primes_upto(10 ** 6)
+    last_start = (len(primes) - 1) // TRIAL_CHUNK * TRIAL_CHUNK
+    # the last prime of one trial-division chunk and the first of the next
+    edges = [primes[k + d] for k in (TRIAL_CHUNK, 2 * TRIAL_CHUNK, last_start) for d in (-1, 0)]
+    inputs = [
+        math.prod(edges),
+        edges[0] ** 2, edges[1] ** 2, edges[0] * edges[1],
+        edges[0] ** 2 * edges[1] ** 3 * edges[-1],
+        edges[-2] * edges[-1],
+        2 ** 5 * edges[-1] ** 2,
+        999983, 999983 ** 2, 2 * 999983, 999983 * 1000003,
+        (10 ** 6 + 3) ** 2, (10 ** 6 + 3) ** 3, 6 * (10 ** 6 + 3) ** 2,
+        (10 ** 7 + 19) ** 3, (10 ** 6 + 3) ** 2 * (10 ** 7 + 19) ** 3,
+        1000003 * 1000033, (10 ** 7 + 19) * (10 ** 7 + 79),
+        3 * 1000003 * 1000033 * 999983,
+    ]
+    rng = random.Random(615)
+    return inputs + [rng.randrange(2, 10 ** 12) for _ in range(300)]
+
+
+def _same_factorization(n, budget):
+    got, want = factorize(n, budget), factorize_by_prime_loop(n, budget)
+    assert list(got.factors.items()) == list(want.factors.items()), (n, budget)
+    assert got.unfactored_cofactor == want.unfactored_cofactor, (n, budget)
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 10, DEFAULT_RHO_BUDGET])
+def test_factorize_matches_prime_loop_oracle(budget):
+    for n in _factorization_inputs():
+        _same_factorization(n, budget)
+
+
+def test_factorize_matches_prime_loop_oracle_on_primitive_parts(p65, q65):
+    for _, part in primitive_parts(denom_sequence(p65, q65, 40)):
+        _same_factorization(part, 1 << 16)
 
 
 def test_divisor_count_bound_and_divisor_sum_bound():
