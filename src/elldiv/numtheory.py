@@ -2,8 +2,11 @@
 
 Factoring is best-effort by design: batch trial division by the primes
 below a fixed bound, then Pollard rho (Brent variant) under an iteration
-budget. Whatever does not split within the budget is reported as an
-unfactored cofactor instead of raising, so callers can degrade gracefully.
+budget. The budget counts the rho steps multiplied into the gcd product;
+it is never exceeded, and rho makes at most twice the budget in squarings,
+backtracking aside. Whatever does not split within the budget is reported
+as an unfactored cofactor instead of raising, so callers can degrade
+gracefully.
 Every prime listed in a factorization passed ``is_prime``: a proof below
 3.317e24, the BPSW test above.
 """
@@ -232,6 +235,13 @@ def _as_perfect_power(n: int) -> tuple[int, int]:
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
     """Brent-cycle Pollard rho. Returns (nontrivial factor or None, iterations spent).
 
+    The budget counts the steps multiplied into the gcd product. Cycle r of
+    an attempt first advances r steps without counting them, then counts
+    r steps (Brent, BIT 20, 1980); the last cycle is cut to what the budget
+    has left. So ``spent`` never exceeds the budget and equals it when no
+    factor is found, and a call makes at most 2 * budget squarings, plus at
+    most 128 backtracking steps for each attempt whose product collapses
+    to n.
     The polynomial constant and starting point are derived from the attempt
     number only, so results are reproducible for a given n and budget.
     """
@@ -246,10 +256,11 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
         x = ys = y
         while g == 1 and spent < budget:
             x = y
+            r = min(r, budget - spent)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
-            while k < r and g == 1 and spent < budget:
+            while k < r and g == 1:
                 ys = y
                 steps = min(m, r - k)
                 for _ in range(steps):
@@ -280,6 +291,11 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     integers*, 2004). It stops at the first chunk whose least prime p has
     p*p > n, since what is left is then 1 or a prime. Primes are listed in
     the order found: the small ones ascending, then the rest.
+
+    ``rho_budget`` is shared by every rho call on the cofactors of n: each
+    call spends at most what is left (see ``_brent_rho``), so the total
+    never exceeds the budget, and rho does at most 2 * rho_budget
+    squarings, backtracking aside.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")

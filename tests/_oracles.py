@@ -187,9 +187,20 @@ def _perfect_power_by_every_exponent(n):
     return n, 1
 
 
-def _brent_rho_with_abs(n, budget):
+def brent_rho_reference(n, budget, cut_last_cycle=True):
+    """Brent rho with |x - y| in the product: (factor or None, spent, overran).
+
+    With ``cut_last_cycle`` each cycle counts at most what the budget has
+    left, the library's rule. Without it this is the route the library's
+    rho replaced: a cycle starts whenever ``spent < budget``, advances its
+    full r steps and counts 128-step chunks until the budget is reached, so
+    ``spent`` can end past the budget. ``overran`` says that some cycle
+    started with r above what the budget had left; uncut runs that never
+    overran must agree with the library exactly.
+    """
     spent = 0
     attempt = 0
+    overran = False
     while spent < budget:
         attempt += 1
         c = attempt
@@ -198,6 +209,9 @@ def _brent_rho_with_abs(n, budget):
         g = r = q = 1
         x = ys = y
         while g == 1 and spent < budget:
+            overran = overran or r > budget - spent
+            if cut_last_cycle:
+                r = min(r, budget - spent)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -218,19 +232,19 @@ def _brent_rho_with_abs(n, budget):
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
         if 1 < g < n:
-            return g, spent
-    return None, spent
+            return g, spent, overran
+    return None, spent, overran
 
 
 def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
     """Reference factorization by the route batch trial division replaced.
 
     One n % p per prime below the trial bound, with a primality exit after
-    each prime found; then the same budgeted Brent rho (with |x - y| in the
-    product) and a perfect-power test over every exponent, not just primes.
-    The library's factorize must return the same factors in the same order
-    and the same unfactored cofactor. Primality and the sieve come from the
-    library; both are tested on their own.
+    each prime found; then the same budgeted Brent rho (last cycle cut to the
+    budget, with |x - y| in the product) and a perfect-power test over every
+    exponent, not just primes. The library's factorize must return the same
+    factors in the same order and the same unfactored cofactor. Primality
+    and the sieve come from the library; both are tested on their own.
     """
     result = Factorization()
     if n == 1:
@@ -267,7 +281,7 @@ def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
             continue
         d = None
         if budget > 0:
-            d, spent = _brent_rho_with_abs(m, budget)
+            d, spent, _ = brent_rho_reference(m, budget)
             budget -= spent
         if d is None:
             result.unfactored_cofactor *= m ** mult

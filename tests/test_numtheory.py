@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from _oracles import factorize_by_prime_loop
+from _oracles import brent_rho_reference, factorize_by_prime_loop
 from elldiv.denominators import denom_sequence, primitive_parts
 from elldiv.numtheory import (
     DEFAULT_RHO_BUDGET,
     TRIAL_CHUNK,
     Factorization,
+    _brent_rho,
     _strong_lucas_probable_prime,
     divisor_count,
     factorize,
@@ -180,6 +181,28 @@ def test_factorize_matches_prime_loop_oracle(budget):
 def test_factorize_matches_prime_loop_oracle_on_primitive_parts(p65, q65):
     for _, part in primitive_parts(denom_sequence(p65, q65, 40)):
         _same_factorization(part, 1 << 16)
+
+
+def test_brent_rho_stops_at_its_budget_and_matches_the_uncut_route():
+    # the last Brent cycle is cut to what the budget has left; every run the
+    # uncut route made without starting such a cycle must come out the same
+    rng = random.Random(1980)
+    budgets = (1, 100, 128, 129, 500, 1024, 3000, 4096)
+    compared = 0
+    for _ in range(2000):
+        n = rng.randrange(10 ** 10, 10 ** 15) | 1
+        for budget in budgets:
+            got = _brent_rho(n, budget)
+            factor, spent, overran = brent_rho_reference(n, budget, cut_last_cycle=False)
+            assert got[1] <= budget, (n, budget)
+            if got[0] is None:
+                assert got[1] == budget, (n, budget)
+            else:
+                assert 1 < got[0] < n and n % got[0] == 0, (n, budget)
+            if not overran:
+                assert got == (factor, spent), (n, budget)
+                compared += 1
+    assert compared > 10 ** 4
 
 
 def test_divisor_count_bound_and_divisor_sum_bound():
