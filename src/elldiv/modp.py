@@ -1,16 +1,18 @@
 """Reduction mod good primes, finite group computations, and orbit counting.
 
 Membership of Q mod p in <P mod p> costs one order computation per prime.
-A baby-step / giant-step search over the Hasse interval finds a multiple M
-of ord(P) (a supplied group order serves as well). Let S be a set of
-primes containing every prime of ord(Q) and M_S the S-part of M. Then Q
-lies in <P> exactly when it lies in the S-primary part of <P>, the cyclic
-group generated by R = (M / M_S) P. Its order is found by stripping only
-the primes in S, and the discrete log is solved by BSGS in the subgroup
-of <R> of order ord(Q), as in Pohlig-Hellman. This is correct even when
-E(F_p) itself is not cyclic. When Q is torsion of order t over Q, the
-orbit sweep takes S from t once per call, so it factors nothing and
-searches no ord(Q) per prime; otherwise S is the set of primes of M.
+A ± baby-step / giant-step search over the Hasse interval (Shanks; Cohen,
+GTM 138, ch. 7) finds some positive multiple M of ord(P), or a supplied
+group order serves. Let S be a set of primes containing every prime of
+ord(Q) and M_S the S-part of M. Then Q lies in <P> exactly when it lies
+in the S-primary part of <P>, the cyclic group generated by
+R = (M / M_S) P. Its order is found by stripping only the primes in S,
+and the discrete log is solved by BSGS in the subgroup of <R> of order
+ord(Q), as in Pohlig-Hellman. This is correct even when E(F_p) itself is
+not cyclic. When Q is torsion of order t over Q, the orbit sweep takes S
+from t once per call, so it factors nothing per prime, and its search
+for M steps by ord(Q mod p), which divides #E(F_p) (Lagrange); otherwise
+S is the set of primes of M.
 
 Group orders come from exhaustive counting for p <= 229. Above that
 they come from BSGS orders of random points on E and on its quadratic
@@ -138,16 +140,31 @@ def _add(cp, a, b):
     return (x3, y3)
 
 def _mul(cp, k, a):
+    """k*a by double-and-add, with the chord and tangent steps inline."""
     if k < 0:
         k, a = -k, _neg(cp, a)
+    if a is None:
+        return None
+    p, a1, a2, a3, a4 = cp.p, cp.a1, cp.a2, cp.a3, cp.a4
+    x, y = a
     acc = None
-    while k:
+    while True:
         if k & 1:
-            acc = _add(cp, acc, a)
+            if acc is None or acc[0] == x:
+                acc = _add(cp, acc, (x, y))
+            else:
+                lam = (acc[1] - y) * pow(acc[0] - x, -1, p) % p
+                x3 = (lam * lam + a1 * lam - a2 - acc[0] - x) % p
+                acc = (x3, (-(lam + a1) * x3 - (y - lam * x) - a3) % p)
         k >>= 1
-        if k:
-            a = _add(cp, a, a)
-    return acc
+        if not k:
+            return acc
+        den = (2 * y + a1 * x + a3) % p
+        if den == 0:
+            return acc              # the doubled point is O and adds nothing
+        lam = (3 * x * x + 2 * a2 * x + a4 - a1 * y) * pow(den, -1, p) % p
+        x3 = (lam * lam + a1 * lam - a2 - 2 * x) % p
+        x, y = x3, (-(lam + a1) * x3 - (y - lam * x) - a3) % p
 
 
 def reduce_curve(curve: WeierstrassCurve, p: int) -> FpCurve:
@@ -158,26 +175,29 @@ def reduce_curve(curve: WeierstrassCurve, p: int) -> FpCurve:
                    curve.a4 % p, curve.a6 % p, curve.discriminant % p)
 
 
-def reduce_point(point: Point, cp: FpCurve) -> FpPoint:
-    """Reduce an exact rational point mod p.
-
-    The affine coordinates are cleared to a coprime projective triple
-    (X : Y : Z); when p divides Z the point sits over the origin of the
-    formal group and reduces to the identity, otherwise to (X/Z, Y/Z) mod p.
-    """
+def _triple(point: Point):
+    """A coprime projective triple (X, Y, Z) of the point; O is (0, 1, 0)."""
     if point.is_identity:
-        return FpPoint(cp)
-    p = cp.p
+        return 0, 1, 0
     x, y = point.x, point.y
     z = lcm(x.denominator, y.denominator)
     big_x = x.numerator * (z // x.denominator)
     big_y = y.numerator * (z // y.denominator)
     g = gcd(gcd(big_x, big_y), z)
-    big_x, big_y, z = big_x // g, big_y // g, z // g
+    return big_x // g, big_y // g, z // g
+
+
+def _reduce_triple(big_x, big_y, z, p):
     if z % p == 0:
-        return FpPoint(cp)
-    inv = pow(z % p, -1, p)
-    return FpPoint(cp, big_x * inv % p, big_y * inv % p)
+        return None
+    inv = pow(z, -1, p)
+    return big_x * inv % p, big_y * inv % p
+
+
+def reduce_point(point: Point, cp: FpCurve) -> FpPoint:
+    """Reduce an exact rational point mod p: O when p divides Z in its coprime
+    triple (X : Y : Z), a point of the formal group; else (X/Z, Y/Z) mod p."""
+    return _wrap(cp, _reduce_triple(*_triple(point), cp.p))
 
 
 # -- group order --------------------------------------------------------------
@@ -269,36 +289,68 @@ def _hasse_interval(p: int) -> tuple[int, int]:
     return p + 1 - w, p + 1 + w
 
 
-def _bsgs(cp, a, target, lo, width) -> int | None:
-    """The smallest m >= lo with m*a = target, or None if none is below lo + width.
+def _bsgs(cp, b, target, lo, hi) -> int | None:
+    """Some m with m*b = target for b != O, or None if no m in [lo, hi] has it.
 
-    Baby steps j*a for j < s = isqrt(width) + 1 go into one table (the
-    first j per point); giant steps walk target - (lo + i*s)*a. Solutions
-    a little past lo + width may also be returned.
+    ± matching: baby steps j*b, j = 1..s, are keyed by x, so a giant point
+    G = c*b - target with x(G) = x(j*b) gives target = (c -+ j)*b as y
+    decides. Centres c are the multiples of the stride 2s + 1. An order
+    ord(b) <= 2s + 1 shows before the giant steps and is the answer for
+    target = O, which always gets a positive m, in [lo, hi] or not.
     """
-    s = isqrt(width) + 1
-    table = {}
-    cur = None
-    for j in range(s):
-        table.setdefault(cur, j)
-        cur = _add(cp, cur, a)
-    giant = _neg(cp, cur)
-    t = _add(cp, target, _mul(cp, -lo, a))
-    for i in range(width // s + 2):
-        j = table.get(t)
-        if j is not None:
-            return lo + i * s + j
-        t = _add(cp, t, giant)
+    p, a1, a2, a3 = cp.p, cp.a1, cp.a2, cp.a3
+    s = isqrt(hi - lo) // 2 + 1
+    (bx, by), g = b, _add(cp, b, b)
+    table, order = {bx: (1, by)}, None if g else 2
+    for j in range(2, s + 1 if g else 2):
+        hit = table.get(g[0])
+        if hit is not None:         # j*b = -i*b: the first repeat is ord(b) = i + j
+            order = j + hit[0]
+            break
+        table[g[0]] = (j, g[1])
+        lam = (g[1] - by) * pow(g[0] - bx, -1, p) % p
+        x3 = (lam * lam + a1 * lam - a2 - g[0] - bx) % p
+        g = (x3, (-(lam + a1) * x3 - (by - lam * bx) - a3) % p)
+    if order is None:
+        stride = _add(cp, _add(cp, g, g), _neg(cp, b))     # (2s + 1)*b
+        order = None if stride else 2 * s + 1
+    if order is not None:
+        if target is None:
+            return order
+        hit = table.get(target[0])
+        return None if hit is None else hit[0] if hit[1] == target[1] else -hit[0]
+
+    w, (wx, wy) = 2 * s + 1, stride
+    c = w * max((lo + s) // w, 1 if target is None else 0)
+    g = _add(cp, _mul(cp, c // w, stride), _neg(cp, target))
+    while c - s <= hi:
+        if g is None:
+            return c
+        hit = table.get(g[0])
+        if hit is not None:
+            return c - hit[0] if g[1] == hit[1] else c + hit[0]
+        if g[0] == wx:
+            g = _add(cp, g, stride)
+        else:
+            lam = (g[1] - wy) * pow(g[0] - wx, -1, p) % p
+            x3 = (lam * lam + a1 * lam - a2 - g[0] - wx) % p
+            g = (x3, (-(lam + a1) * x3 - (wy - lam * wx) - a3) % p)
+        c += w
     return None
 
 
-def _annihilator(cp, a) -> int:
-    """A multiple of ord(a): the smallest m in the Hasse interval with m*a = O."""
+def _annihilator(cp, a, step=1) -> int:
+    """A positive multiple of ord(a), not always the smallest.
+
+    step must divide #E(F_p): then #E / step lies in the Hasse interval
+    divided by step, where a BSGS finds m with m*(step*a) = O.
+    """
     lo, hi = _hasse_interval(cp.p)
-    m = _bsgs(cp, a, None, lo, hi - lo + 1)
+    b = _mul(cp, step, a)
+    m = 1 if b is None else _bsgs(cp, b, None, -(-lo // step), hi // step)
     if m is None:
         raise RuntimeError("annihilator search failed; group order outside Hasse window?")
-    return m
+    return step * m
 
 
 def _order_from_multiple(cp, a, multiple: int, primes=None) -> int:
@@ -313,12 +365,6 @@ def _order_from_multiple(cp, a, multiple: int, primes=None) -> int:
         while order % q == 0 and _mul(cp, order // q, a) is None:
             order //= q
     return order
-
-
-def _order(cp, a) -> int:
-    if a is None:
-        return 1
-    return _order_from_multiple(cp, a, _annihilator(cp, a))
 
 
 def _quadratic_twist(cp: FpCurve) -> FpCurve:
@@ -362,7 +408,8 @@ def group_order(cp: FpCurve) -> int:
     rng = random.Random(_seed(cp))
     for _ in range(BSGS_SAMPLE_LIMIT):
         for i, curve in enumerate(curves):
-            lcms[i] = lcm(lcms[i], _order(curve, _random_affine(curve, rng)))
+            pt = _random_affine(curve, rng)
+            lcms[i] = lcm(lcms[i], _order_from_multiple(curve, pt, _annihilator(curve, pt)))
             order = _hasse_candidate(p, *lcms)
             if order is not None:
                 return order
@@ -385,7 +432,8 @@ def _discrete_log(cp, a, q, multiple=None, primes=None) -> int | None:
     omitted. primes must contain every prime of ord(q); it defaults to the
     primes of multiple, and then 0 <= k < ord(a). Only the primes-primary
     part of <a>, generated by r = (multiple / its primes-part) * a, can
-    hold q; the log is solved by BSGS in its subgroup of order ord(q).
+    hold q; the log is solved by BSGS in its subgroup of order ord(q) and
+    taken mod ord(q), so k does not depend on the multiple.
     """
     if q is None:
         return 0
@@ -405,7 +453,7 @@ def _discrete_log(cp, a, q, multiple=None, primes=None) -> int | None:
         return None
     q_order = _order_from_multiple(cp, q, r_order, primes)
     step = r_order // q_order
-    j = _bsgs(cp, _mul(cp, step, r), q, 0, q_order)
+    j = _bsgs(cp, _mul(cp, step, r), q, 0, q_order - 1)
     return None if j is None else j * step * cofactor % (cofactor * r_order)
 
 
@@ -456,6 +504,7 @@ def sweep_primes(
     # primes of t are the only ones membership has to look at
     t = torsion_order(q_point)
     torsion_primes = None if t is None else list(factorize(t).factors)
+    p_triple, q_triple = _triple(p_point), _triple(q_point)
     count = 0
     members: list[int] = []
     skipped: list[int] = []
@@ -465,10 +514,11 @@ def sweep_primes(
         except BadReductionError:
             skipped.append(p)
             continue
-        qp = reduce_point(q_point, cp)._tuple()
-        member = qp is None or _discrete_log(
-            cp, reduce_point(p_point, cp)._tuple(), qp, primes=torsion_primes) is not None
-        if member:
+        pp, qp = _reduce_triple(*p_triple, p), _reduce_triple(*q_triple, p)
+        # ord(Q mod p) divides #E(F_p), so the annihilator steps by it
+        step = 1 if t is None else _order_from_multiple(cp, qp, t, torsion_primes)
+        multiple = _annihilator(cp, pp, step)
+        if _discrete_log(cp, pp, qp, multiple, torsion_primes) is not None:
             count += 1
             members.append(p)
     return count, members, skipped

@@ -3,7 +3,9 @@
 Group arithmetic here goes through the completed-square model
 y'^2 = x^3 + (b2/4) x^2 + (b4/2) x + (b6/4) with y' = y + (a1 x + a3)/2,
 a deliberately different formula route from the library's general-model
-chord-tangent code, so agreement is a meaningful dual check.
+chord-tangent code, so agreement is a meaningful dual check. The mod p
+membership route at the end is the exception: it is the smallest-multiple
+BSGS that the library's ± search replaced, on modp's general addition.
 """
 
 import functools
@@ -11,6 +13,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
+from elldiv import modp
 from elldiv.numtheory import (
     DEFAULT_RHO_BUDGET,
     TRIAL_DIVISION_BOUND,
@@ -18,6 +21,7 @@ from elldiv.numtheory import (
     is_prime,
     primes_upto,
 )
+from elldiv.rational_ec import torsion_order
 
 
 class ShortModelCurve:
@@ -289,3 +293,112 @@ def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
             pending.append((d, mult))
             pending.append((m // d, mult))
     return result
+
+
+# -- membership mod p by the smallest-multiple BSGS route ----------------------
+#
+# The library's annihilator returns some positive multiple of ord(a) from a
+# ± search stepped by ord(Q mod p). This route finds the smallest m in the
+# Hasse interval with m*a = O by a plain baby-step / giant-step search keyed
+# by whole points, and strips primes found by trial division. Its scalar
+# multiples go through modp._add, not the library's inlined steps.
+
+def fp_mul(cp, k, a):
+    """k*a by double-and-add over modp._add."""
+    if k < 0:
+        k, a = -k, modp._neg(cp, a)
+    acc = None
+    while k:
+        if k & 1:
+            acc = modp._add(cp, acc, a)
+        k >>= 1
+        if k:
+            a = modp._add(cp, a, a)
+    return acc
+
+
+def bsgs_smallest(cp, a, target, lo, width):
+    """The smallest m >= lo with m*a = target, or None if none is below lo + width.
+
+    Baby steps j*a for j < s = isqrt(width) + 1 go into one table (the
+    first j per point); giant steps walk target - (lo + i*s)*a. Solutions
+    a little past lo + width may also be returned.
+    """
+    s = math.isqrt(width) + 1
+    table = {}
+    cur = None
+    for j in range(s):
+        table.setdefault(cur, j)
+        cur = modp._add(cp, cur, a)
+    giant = modp._neg(cp, cur)
+    t = modp._add(cp, target, fp_mul(cp, -lo, a))
+    for i in range(width // s + 2):
+        j = table.get(t)
+        if j is not None:
+            return lo + i * s + j
+        t = modp._add(cp, t, giant)
+    return None
+
+
+def annihilator_smallest(cp, a):
+    """The smallest m in the Hasse interval with m*a = O."""
+    w = math.isqrt(4 * cp.p)
+    m = bsgs_smallest(cp, a, None, cp.p + 1 - w, 2 * w + 1)
+    if m is None:
+        raise RuntimeError("annihilator search failed")
+    return m
+
+
+def order_from_multiple_reference(cp, a, multiple, primes=None):
+    """ord(a) by stripping primes (default: every prime of multiple)."""
+    order = multiple
+    for q in trial_division_primes(multiple) if primes is None else primes:
+        while order % q == 0 and fp_mul(cp, order // q, a) is None:
+            order //= q
+    return order
+
+
+def discrete_log_reference(cp, a, q, multiple=None, primes=None):
+    """k with k*a = q (0 <= k < ord(a) when primes is omitted), or None.
+
+    The Pohlig-Hellman route in the primes-primary part of <a>, with the
+    smallest-multiple annihilator when multiple is omitted.
+    """
+    if q is None:
+        return 0
+    if a is None:
+        return None
+    if multiple is None:
+        multiple = annihilator_smallest(cp, a)
+    if primes is None:
+        primes = trial_division_primes(multiple)
+    cofactor = multiple
+    for ell in primes:
+        while cofactor % ell == 0:
+            cofactor //= ell
+    r = fp_mul(cp, cofactor, a)
+    r_order = order_from_multiple_reference(cp, r, multiple // cofactor, primes)
+    if fp_mul(cp, r_order, q) is not None:
+        return None
+    q_order = order_from_multiple_reference(cp, q, r_order, primes)
+    step = r_order // q_order
+    j = bsgs_smallest(cp, fp_mul(cp, step, r), q, 0, q_order)
+    return None if j is None else j * step * cofactor % (cofactor * r_order)
+
+
+def sweep_primes_reference(p_point, q_point, primes):
+    """modp.sweep_primes by the smallest-multiple route, point by point."""
+    t = torsion_order(q_point)
+    torsion_primes = None if t is None else trial_division_primes(t)
+    members, skipped = [], []
+    for p in primes:
+        try:
+            cp = modp.reduce_curve(p_point.curve, p)
+        except modp.BadReductionError:
+            skipped.append(p)
+            continue
+        a = modp.reduce_point(p_point, cp)._tuple()
+        q = modp.reduce_point(q_point, cp)._tuple()
+        if discrete_log_reference(cp, a, q, primes=torsion_primes) is not None:
+            members.append(p)
+    return len(members), members, skipped

@@ -1,11 +1,24 @@
+import random
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
+from _oracles import (
+    annihilator_smallest,
+    discrete_log_reference,
+    fp_mul,
+    order_from_multiple_reference,
+    sweep_primes_reference,
+    trial_division_primes,
+)
 from elldiv.modp import (
     BadReductionError,
     FpPoint,
+    _annihilator,
+    _discrete_log,
+    _hasse_interval,
+    _random_affine,
     group_order,
     group_order_by_enumeration,
     in_cyclic_subgroup,
@@ -16,7 +29,7 @@ from elldiv.modp import (
     sweep_primes,
 )
 from elldiv.numtheory import primes_upto
-from elldiv.rational_ec import TorsionPointError, WeierstrassCurve
+from elldiv.rational_ec import SingularCurveError, TorsionPointError, WeierstrassCurve
 
 # 65a member primes up to 200; cross-checked against the orbit-walk oracle
 # below (test_membership_witness_is_sound covers every p <= 300)
@@ -311,3 +324,113 @@ def test_hasse_interval_contains_order_for_larger_primes(e37, p37):
         assert (order - p - 1) ** 2 <= 4 * p
         reduced = reduce_point(p37, cp)
         assert (order * reduced).is_identity
+
+
+SWEEP_CURVES = {name: (coeffs, p_xy, q_xy) for name, (coeffs, p_xy, q_xy, _) in ORACLE_CASES.items()}
+SWEEP_CURVES["65a"] = ((1, 0, 0, -1, 0), (1, 0), (0, 0))
+SWEEP_CURVES["37a"] = ((0, 0, 1, -1, 0), (0, 0), None)
+
+
+def _sweep_points(name):
+    coeffs, p_xy, q_xy = SWEEP_CURVES[name]
+    curve = WeierstrassCurve(*coeffs)
+    return curve.point(*p_xy), curve.identity() if q_xy is None else curve.point(*q_xy)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES) + ["65a"])
+def test_sweep_matches_orbit_walk_near_10_5(name):
+    # the ± matching and the step by ord(Q mod p) only bite at large p
+    p_point, q_point = _sweep_points(name)
+    primes = [p for p in primes_upto(100_200) if p > 100_000][:10]
+    _, members, skipped = sweep_primes(p_point, q_point, primes)
+    assert skipped == []
+    expected = []
+    for p in primes:
+        cp = reduce_curve(p_point.curve, p)
+        if orbit_walk_member(cp, reduce_point(p_point, cp), reduce_point(q_point, cp)):
+            expected.append(p)
+    assert members == expected
+
+
+def _random_membership_cases(count, seed):
+    """(cp, P, Q) with P != O on random curves mod good primes p <= 2*10^5.
+
+    A quarter of the primes are 2, 3, 5 or 7 and a quarter lie below 1000.
+    Half the P are cut down to an order of at most 60, below 2s for the
+    larger p. Q is a multiple of P, a point of small order, a random point
+    or O.
+    """
+    rng = random.Random(seed)
+    large, medium = primes_upto(2 * 10 ** 5), primes_upto(1000)
+    cases = []
+    while len(cases) < count:
+        pool = rng.choice(((2, 3, 5, 7), medium, large, large))
+        p = rng.choice(pool)
+        try:
+            curve = WeierstrassCurve(*(rng.randrange(p) for _ in range(5)))
+            cp = reduce_curve(curve, p)
+        except (SingularCurveError, BadReductionError):
+            continue
+        if p <= 7:      # _random_affine needs p odd; count the points instead
+            points = [(x, y) for x in range(p) for y in range(p) if FpPoint(cp, x, y).on_curve()]
+            a, r = (rng.choice(points), rng.choice(points)) if points else (None, None)
+        else:
+            a, r = _random_affine(cp, rng), _random_affine(cp, rng)
+        if a is None or r is None:
+            continue
+        r_order = order_from_multiple_reference(cp, r, annihilator_smallest(cp, r))
+        if rng.randrange(2):
+            small = [d for d in range(1, 61) if r_order % d == 0]
+            a = fp_mul(cp, r_order // rng.choice(small[1:] or small), r) or a
+        kind = rng.randrange(4)
+        if kind == 0:
+            q = fp_mul(cp, rng.randrange(p + 2), a)
+        elif kind == 1:
+            q = fp_mul(cp, r_order // rng.choice([d for d in range(1, 9) if r_order % d == 0]), r)
+        else:
+            q = r if kind == 2 else None
+        cases.append((cp, a, q))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def random_membership_cases():
+    return _random_membership_cases(2000, seed=20261018)
+
+
+def test_annihilator_returns_a_positive_multiple_of_the_order(random_membership_cases):
+    small_orders = tiny_primes = 0
+    for cp, a, q in random_membership_cases:
+        order = order_from_multiple_reference(cp, a, annihilator_smallest(cp, a))
+        q_order = 1 if q is None else order_from_multiple_reference(cp, q, annihilator_smallest(cp, q))
+        lo, hi = _hasse_interval(cp.p)
+        for step in (1, q_order):
+            m = _annihilator(cp, a, step)
+            assert m > 0 and m % order == 0, (cp, a, step, m)
+            s = isqrt((hi - lo) // step) // 2 + 1
+            small_orders += order <= 2 * s
+        tiny_primes += cp.p <= 7
+    assert small_orders >= 500 and tiny_primes >= 300
+
+
+def test_membership_matches_the_oracle_route(random_membership_cases):
+    members = 0
+    for cp, a, q in random_membership_cases:
+        multiple = annihilator_smallest(cp, a)
+        p_point, q_point = FpPoint(cp, *a), cp.identity() if q is None else FpPoint(cp, *q)
+        for hint in (None, multiple):
+            k = discrete_log_reference(cp, a, q, hint)
+            assert in_cyclic_subgroup(q_point, p_point, hint) == (k is not None, k)
+        # the sweep's route: annihilator stepped by T = ord(Q), primes of T only
+        q_order = 1 if q is None else order_from_multiple_reference(cp, q, annihilator_smallest(cp, q))
+        k = _discrete_log(cp, a, q, _annihilator(cp, a, q_order), trial_division_primes(q_order))
+        assert (k is not None) == (discrete_log_reference(cp, a, q) is not None)
+        members += k is not None
+    assert 300 <= members <= 1700
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
+def test_sweep_matches_the_oracle_route(name):
+    p_point, q_point = _sweep_points(name)
+    primes = primes_upto(4 * 10 ** 4)
+    assert sweep_primes(p_point, q_point, primes) == sweep_primes_reference(p_point, q_point, primes)
