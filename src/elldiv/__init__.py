@@ -22,6 +22,7 @@ from .denominators import (
     omega_product,
     primitive_parts,
     primitive_report,
+    primitive_reports,
 )
 from .heights import (
     ARCHIMEDEAN,

@@ -7,7 +7,8 @@ precondition violation (torsion P, nP+Q hitting the identity, ...),
 discriminant or den(x(Q)) within its budget.
 
 ELLDIV_THREADS, an integer >= 1 (default 1), sets the number of worker
-processes for ``ltcount``; it is read here and nowhere in the library.
+processes for ``ltcount`` and ``primdiv``; it is read here and nowhere in
+the library.
 
 Fixture grammar (keys separated by newlines or semicolons, # comments):
 
@@ -37,8 +38,7 @@ from .denominators import (
     NonTorsionQError,
     bad_set,
     denom_sequence,
-    primitive_parts,
-    primitive_report,
+    primitive_reports,
 )
 from .heights import NonConvergenceError, canonical_height
 from .modp import lang_trotter_sweep
@@ -160,13 +160,20 @@ def _cmd_seq(fixture: Fixture, args) -> int:
     return 0
 
 
+def _workers() -> int:
+    try:
+        return _int_at_least(1)(os.environ.get("ELLDIV_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"ELLDIV_THREADS: {exc}")
+
+
 def _cmd_primdiv(fixture: Fixture, args) -> int:
     terms = denom_sequence(fixture.p, fixture.q, args.n)
+    reports = primitive_reports(terms, args.factor_budget, _workers())
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "x_num", "x_den", "C_n", "D_n", "primitive_part",
                      "has_primitive", "certificate_prime", "fully_factored"])
-    for term, part in primitive_parts(terms):
-        report = primitive_report(term, part, args.factor_budget)
+    for term, report in reports:
         writer.writerow([
             term.n, term.numerator, term.denominator, term.numerator, term.denominator,
             report.primitive_part,
@@ -190,12 +197,8 @@ def _cmd_height(fixture: Fixture, args) -> int:
 
 
 def _cmd_ltcount(fixture: Fixture, args) -> int:
-    try:
-        workers = _int_at_least(1)(os.environ.get("ELLDIV_THREADS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"ELLDIV_THREADS: {exc}")
     result = lang_trotter_sweep(fixture.p, fixture.q, args.x, keep_primes=args.keep_primes,
-                                workers=workers)
+                                workers=_workers())
     _emit_json({
         "label": fixture.label,
         "x": str(result.x),

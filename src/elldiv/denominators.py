@@ -12,12 +12,13 @@ scalar multiple. ``primitive_parts`` walks that stream once and keeps the
 history of earlier denominators itself.
 """
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
 from .heights import log_int
-from .numtheory import factorize, DEFAULT_RHO_BUDGET
+from .numtheory import DEFAULT_RHO_BUDGET, Factorization, _pool_map, factorize
 from .rational_ec import Point, require_infinite_order, torsion_order
 
 REASON_BAD_REDUCTION = "divides_discriminant"
@@ -193,11 +194,32 @@ def primitive_report(
     prime factor of the primitive part found within the budget; if nothing
     splits, the part itself still witnesses that primitive divisors exist.
     """
-    if part == 1:
-        return PrimitiveDivisorReport(term.n, 1, False, None, True)
-    fac = factorize(part, rho_budget)
+    return _report(term, part, Factorization() if part == 1 else factorize(part, rho_budget))
+
+
+def _report(term: DenomTerm, part: int, fac: Factorization) -> PrimitiveDivisorReport:
     certificate = min(fac.factors) if fac.factors else None
-    return PrimitiveDivisorReport(term.n, part, True, certificate, fac.is_complete)
+    return PrimitiveDivisorReport(term.n, part, part > 1, certificate, fac.is_complete)
+
+
+def primitive_reports(terms: Iterable[DenomTerm], rho_budget: int = DEFAULT_RHO_BUDGET,
+                      workers: int = 1) -> Iterable[tuple[DenomTerm, PrimitiveDivisorReport]]:
+    """Each term paired with its ``primitive_report``; terms as for ``primitive_parts``.
+
+    With workers > 1 the parts are factored on that many processes, largest
+    first so that the slowest starts earliest; the reports are unchanged.
+    workers = 1 starts no process. No environment setting is read.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    pairs = primitive_parts(terms)
+    if workers == 1:
+        return ((term, primitive_report(term, part, rho_budget)) for term, part in pairs)
+    pairs = list(pairs)
+    # parts above 1 are pairwise coprime, so they are distinct keys
+    parts = sorted((part for _, part in pairs if part > 1), reverse=True)
+    facs = dict(zip(parts, _pool_map(functools.partial(factorize, rho_budget=rho_budget), parts, workers)))
+    return [(term, _report(term, part, facs.get(part, Factorization()))) for term, part in pairs]
 
 
 def omega_product(terms: Iterable[DenomTerm], rho_budget: int = DEFAULT_RHO_BUDGET) -> DistinctPrimeCount:

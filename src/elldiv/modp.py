@@ -29,11 +29,10 @@ import functools
 import hashlib
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
-from .numtheory import factorize, primes_upto
+from .numtheory import _pool_map, factorize, primes_upto
 from .rational_ec import Point, WeierstrassCurve, require_infinite_order, torsion_order
 
 MESTRE_BOUND = 229             # group_order enumerates at or below
@@ -549,14 +548,11 @@ def lang_trotter_sweep(
         chunk_count = min(4 * workers, len(primes))
         size = -(-len(primes) // chunk_count)
         chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
-        count, members, skipped = 0, [], []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for c, m, s in pool.map(functools.partial(sweep_primes, p_point, q_point), chunks):
-                count += c
-                members.extend(m)
-                skipped.extend(s)
-        members.sort()
-        skipped.sort()
+        results = _pool_map(functools.partial(sweep_primes, p_point, q_point), chunks, workers)
+        # the chunks ascend and keep their order, so the joined lists are sorted
+        count = sum(c for c, _, _ in results)
+        members = [p for _, m, _ in results for p in m]
+        skipped = [p for _, _, s in results for p in s]
 
     log_x = math.log(x) if x >= 2 else 0.0
     ratio = count / math.sqrt(log_x) if log_x > 0 else 0.0

@@ -11,6 +11,7 @@ Every prime listed in a factorization passed ``is_prime``: a proof below
 3.317e24, the BPSW test above.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -130,7 +131,7 @@ def primes_upto(limit: int, *, segment_size: int = 1 << 18) -> list[int]:
     for i in range(2, math.isqrt(root) + 1):
         if base[i]:
             base[i * i :: i] = b"\x00" * len(base[i * i :: i])
-    small = [i for i in range(2, root + 1) if base[i]]
+    small = list(itertools.compress(range(root + 1), base))
 
     primes = list(small)
     lo = root + 1
@@ -144,9 +145,18 @@ def primes_upto(limit: int, *, segment_size: int = 1 << 18) -> list[int]:
             if start > hi:
                 continue
             seg[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-        primes.extend(i + lo for i, flag in enumerate(seg) if flag)
+        primes.extend(itertools.compress(range(lo, hi + 1), seg))
         lo = hi + 1
     return primes
+
+
+def _pool_map(fn, items: list, workers: int) -> list:
+    # fn over items on that many processes, sent and returned in list order;
+    # every worker is joined before this returns, so none holds stdout open.
+    # Imported here so that serial runs never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _small_primes() -> list[int]:

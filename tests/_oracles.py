@@ -21,7 +21,27 @@ from elldiv.numtheory import (
     is_prime,
     primes_upto,
 )
-from elldiv.rational_ec import torsion_order
+from elldiv.rational_ec import WeierstrassCurve, torsion_order
+
+# (curve, P, Q, bad primes <= 3000). Q has order 3 and 4 on the first two,
+# and p = 3 resp. p = 2 divide that order while being good primes. On the
+# rank-two curve 389a, Q is a second generator, so Q has infinite order.
+ORACLE_CASES = {
+    "order3": ((0, 1, 0, -2, 1), (-2, -1), (0, -1), [2, 31]),
+    "order4": ((1, -1, 1, 4, 6), (0, -3), (2, -6), [3, 13]),
+    "389a": ((0, 1, 1, -2, 0), (-1, 1), (0, 0), [389]),
+}
+
+# (curve, P, Q or None for O): the oracle cases and the two shipped fixtures
+CURVES = {name: (coeffs, p_xy, q_xy) for name, (coeffs, p_xy, q_xy, _) in ORACLE_CASES.items()}
+CURVES["65a"] = ((1, 0, 0, -1, 0), (1, 0), (0, 0))
+CURVES["37a"] = ((0, 0, 1, -1, 0), (0, 0), None)
+
+
+def curve_points(name):
+    coeffs, p_xy, q_xy = CURVES[name]
+    curve = WeierstrassCurve(*coeffs)
+    return curve.point(*p_xy), curve.identity() if q_xy is None else curve.point(*q_xy)
 
 
 class ShortModelCurve:

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from elldiv.suites import CheckResult
 
 FIXTURE_37A = 'curve = [0, 0, 1, -1, 0]\nP = [0, 0]\nQ = O\nlabel = "37a"\n'
 FIXTURE_65A = 'curve=[1,0,0,-1,0]; P=[1,0]; Q=[0,0]; label="65a"'
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -240,6 +243,24 @@ def test_ltcount_respects_thread_env(capsys, fixture_path, monkeypatch):
         code, out, err = run_cli(capsys, "ltcount", path, "--x", "10")
         assert code == 1 and out == ""
         assert err.startswith("elldiv: error: ELLDIV_THREADS") and repr(bad) in err
+
+
+def test_primdiv_respects_thread_env(capsys, fixture_path, monkeypatch):
+    path = fixture_path(FIXTURE_65A)
+    for bad in ("abc", "0", "-2"):
+        monkeypatch.setenv("ELLDIV_THREADS", bad)
+        code, out, err = run_cli(capsys, "primdiv", path, "--n", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("elldiv: error: ELLDIV_THREADS") and repr(bad) in err
+
+
+def test_primdiv_leaves_no_worker_behind(capsys, monkeypatch):
+    # a worker alive after main returns would hold the caller's stdout open
+    monkeypatch.setenv("ELLDIV_THREADS", "2")
+    code, _, _ = run_cli(capsys, "primdiv", str(ROOT / "fixtures" / "65a.fixture"),
+                         "--n", "40", "--factor-budget", "65536")
+    assert code == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_is_deterministic(capsys, fixture_path):

@@ -21,11 +21,12 @@ from elldiv.denominators import (
     omega_product,
     primitive_parts,
     primitive_report,
+    primitive_reports,
 )
 from elldiv.modp import reduce_curve, reduce_point
 from elldiv.numtheory import primes_upto, valuation
 from elldiv.rational_ec import TorsionPointError, WeierstrassCurve
-from _oracles import ShortModelCurve, strip_history, trial_division_primes
+from _oracles import CURVES, ShortModelCurve, curve_points, strip_history, trial_division_primes
 
 D37_FIRST_TEN = [1, 1, 1, 1, 4, 1, 9, 25, 49, 16]
 D65_FIRST_TEN = [1, 4, 25, 289, 11881, 498436, 90801841, 22217989249,
@@ -197,6 +198,24 @@ def test_primitive_report_degrades_without_budget(p65, q65):
     assert not report.fully_factored
     full = primitive_report(term, part)
     assert full.fully_factored and full.certificate_prime == 16210522753
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_primitive_reports_parallel_matches_serial(name):
+    p_point, q_point = curve_points(name)
+    # budget 0 leaves every cofactor beyond trial division unsplit
+    for budget in (0, 1, 1024):
+        serial = list(primitive_reports(denom_sequence(p_point, q_point, 30), budget, workers=1))
+        assert serial == [(term, primitive_report(term, part, budget))
+                          for term, part in primitive_parts(denom_sequence(p_point, q_point, 30))]
+        parallel = list(primitive_reports(denom_sequence(p_point, q_point, 30), budget, workers=2))
+        assert parallel == serial
+
+
+def test_primitive_reports_rejects_fewer_than_one_worker(p65, q65):
+    for workers in (0, -2):
+        with pytest.raises(ValueError):
+            primitive_reports(denom_sequence(p65, q65, 3), workers=workers)
 
 
 def test_omega_product(e37, p37, p65, q65):

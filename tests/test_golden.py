@@ -23,9 +23,19 @@ CASES = [
 ]
 
 
+# each case with ELLDIV_THREADS unset and at 2; the output must not change
+THREADED = [(argv, stem, threads) for argv, stem in CASES for threads in (None, "2")]
+
+
 @pytest.mark.parametrize("fixture", ["37a", "65a"])
-@pytest.mark.parametrize("argv,stem", CASES, ids=[stem for _, stem in CASES])
-def test_cli_output_matches_golden(capsys, fixture, argv, stem):
+@pytest.mark.parametrize("argv,stem,threads", THREADED,
+                         ids=[stem if threads is None else f"{stem}-threads-{threads}"
+                              for _, stem, threads in THREADED])
+def test_cli_output_matches_golden(capsys, monkeypatch, fixture, argv, stem, threads):
+    if threads is None:
+        monkeypatch.delenv("ELLDIV_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ELLDIV_THREADS", threads)
     expected = next(GOLDEN.glob(f"{stem}-{fixture}.*")).read_bytes().decode("utf-8")
     code = cli.main([argv[0], str(ROOT / "fixtures" / f"{fixture}.fixture"), *argv[1:]])
     assert code == 0

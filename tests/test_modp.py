@@ -5,7 +5,10 @@ from math import gcd, isqrt
 import pytest
 
 from _oracles import (
+    CURVES,
+    ORACLE_CASES,
     annihilator_smallest,
+    curve_points,
     discrete_log_reference,
     fp_mul,
     order_from_multiple_reference,
@@ -48,16 +51,6 @@ def orbit_walk_member(cp, p_reduced, q_reduced):
             return True
         if current.is_identity:
             return False
-
-
-# (curve, P, Q, bad primes <= 3000). Q has order 3 and 4 on the first two,
-# and p = 3 resp. p = 2 divide that order while being good primes. On the
-# rank-two curve 389a, Q is a second generator, so Q has infinite order.
-ORACLE_CASES = {
-    "order3": ((0, 1, 0, -2, 1), (-2, -1), (0, -1), [2, 31]),
-    "order4": ((1, -1, 1, 4, 6), (0, -3), (2, -6), [3, 13]),
-    "389a": ((0, 1, 1, -2, 0), (-1, 1), (0, 0), [389]),
-}
 
 
 @pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
@@ -326,21 +319,10 @@ def test_hasse_interval_contains_order_for_larger_primes(e37, p37):
         assert (order * reduced).is_identity
 
 
-SWEEP_CURVES = {name: (coeffs, p_xy, q_xy) for name, (coeffs, p_xy, q_xy, _) in ORACLE_CASES.items()}
-SWEEP_CURVES["65a"] = ((1, 0, 0, -1, 0), (1, 0), (0, 0))
-SWEEP_CURVES["37a"] = ((0, 0, 1, -1, 0), (0, 0), None)
-
-
-def _sweep_points(name):
-    coeffs, p_xy, q_xy = SWEEP_CURVES[name]
-    curve = WeierstrassCurve(*coeffs)
-    return curve.point(*p_xy), curve.identity() if q_xy is None else curve.point(*q_xy)
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES) + ["65a"])
 def test_sweep_matches_orbit_walk_near_10_5(name):
     # the ± matching and the step by ord(Q mod p) only bite at large p
-    p_point, q_point = _sweep_points(name)
+    p_point, q_point = curve_points(name)
     primes = [p for p in primes_upto(100_200) if p > 100_000][:10]
     _, members, skipped = sweep_primes(p_point, q_point, primes)
     assert skipped == []
@@ -429,8 +411,8 @@ def test_membership_matches_the_oracle_route(random_membership_cases):
     assert 300 <= members <= 1700
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
+@pytest.mark.parametrize("name", sorted(CURVES))
 def test_sweep_matches_the_oracle_route(name):
-    p_point, q_point = _sweep_points(name)
+    p_point, q_point = curve_points(name)
     primes = primes_upto(4 * 10 ** 4)
     assert sweep_primes(p_point, q_point, primes) == sweep_primes_reference(p_point, q_point, primes)

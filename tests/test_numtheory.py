@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -53,6 +54,17 @@ def test_primes_upto_small():
 
 def test_primes_upto_matches_simple_sieve():
     assert primes_upto(10 ** 5) == simple_sieve(10 ** 5)
+
+
+def test_primes_upto_matches_simple_sieve_at_every_limit_to_3000():
+    reference = simple_sieve(3000)
+    for limit in range(3001):
+        assert primes_upto(limit) == reference[: bisect.bisect_right(reference, limit)]
+
+
+def test_primes_upto_one_million():
+    primes = primes_upto(10 ** 6)
+    assert len(primes) == 78_498 and primes[-1] == 999_983
 
 
 def test_primes_upto_segmentation_boundaries():
