@@ -1,19 +1,30 @@
 """Named invariant suites behind the ``verify`` CLI command.
 
-Each suite takes the fixture's curve and points and returns a list of
+Each suite takes the fixture's points and ``stream``, a callable that
+returns the terms D_1 ... D_40 of x(nP+Q); ``run_suite`` builds that list
+at most once, and only when a suite calls it. Each suite returns a list of
 check results; all checks are deterministic for a given fixture. These
 are smaller, faster cousins of the full test suite, meant to validate a
 user-supplied fixture rather than the library itself.
+
+Two checks rest on a theorem and factor nothing, so they cover every
+prime. ``parity.even_valuations``: on an integral model every affine
+rational point has x = a/d^2, so each D_n is a perfect square.
+``sequence.formal_group_valuations``: v_p(B_mk) = v_p(B_m) + 2 v_p(k) for
+the untranslated denominators B_n and every odd p | B_m not dividing the
+discriminant, checked by gcds. Only ``heights`` factors, to find the
+finite places of its local-height checks.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from . import denominators as dn
 from . import heights as ht
 from . import modp
-from .numtheory import DEFAULT_RHO_BUDGET, factorize, primes_upto, valuation
+from .numtheory import factorize, primes_upto, valuation
 from .rational_ec import Point, torsion_order
 
 
@@ -28,7 +39,7 @@ def _check(results, name, ok, detail=""):
     results.append(CheckResult(name, bool(ok), detail))
 
 
-def suite_group(p_point: Point, q_point: Point) -> list[CheckResult]:
+def suite_group(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     curve = p_point.curve
     results = []
     sample = [p_point, 2 * p_point, 3 * p_point, 5 * p_point, q_point + p_point]
@@ -55,20 +66,10 @@ def suite_group(p_point: Point, q_point: Point) -> list[CheckResult]:
     return results
 
 
-def _candidate_primes(terms, bad, rho_budget=1 << 14) -> set[int]:
-    """The primes of D_1 ... D_N found within the budget, less ``bad``.
-
-    Every prime of D_n divides exactly one primitive part P_k with k <= n,
-    and factorize trial-divides each part to 10^6 at any budget.
-    """
-    found: set[int] = set()
-    for _, part in dn.primitive_parts(terms):
-        found.update(factorize(part, rho_budget).factors)
-    return found - bad
-
-
-def suite_heights(p_point: Point, q_point: Point, tol: float = 1e-4) -> list[CheckResult]:
+def suite_heights(p_point: Point, q_point: Point, stream, tol: float = 1e-4) -> list[CheckResult]:
     results = []
+    # the stream rejects a torsion P, whose height of 0 would divide by zero below
+    terms = stream()
     base = ht.canonical_height(p_point, tol)
 
     # the deviation itself is float round-off, so report it as a share of the
@@ -87,10 +88,9 @@ def suite_heights(p_point: Point, q_point: Point, tol: float = 1e-4) -> list[Che
         pair_q = ht.height_pairing(p_point, q_point, tol)
         _check(results, "pairing_torsion_kernel", abs(pair_q) <= 6 * tol, f"<P,Q>={pair_q:.2e}")
 
-    terms = list(dn.denom_sequence(p_point, q_point, 40))
-    support = sorted(_candidate_primes(terms[:20], set(), DEFAULT_RHO_BUDGET))
-    # every prime of D_n divides a part P_k with k <= n, so the primes of the
-    # first 20 parts factor D_1..D_12 unless one of those parts did not split
+    # every prime of D_n divides a primitive part P_k with k <= n, so the primes
+    # of the first 20 parts factor D_1..D_12 unless one of those parts did not split
+    support = sorted({p for _, part in dn.primitive_parts(terms[:20]) for p in factorize(part).factors})
     ok = True
     for term in terms[:12]:
         rest, finite = term.denominator, 0.0
@@ -120,25 +120,24 @@ def suite_heights(p_point: Point, q_point: Point, tol: float = 1e-4) -> list[Che
     return results
 
 
-def suite_parity(p_point: Point, q_point: Point) -> list[CheckResult]:
+def suite_parity(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     results = []
-    disc = p_point.curve.discriminant
-    terms = list(dn.denom_sequence(p_point, q_point, 40))
-    candidates = _candidate_primes(terms, bad=set())
-    violations = [
-        (t.n, p)
-        for t in terms
-        for p in candidates
-        if disc % p != 0 and t.denominator % p == 0 and valuation(t.denominator, p) % 2
-    ]
-    _check(results, "even_valuations", not violations,
-           f"{len(candidates)} primes checked" + (f"; first violation {violations[0]}" if violations else ""))
+    terms = stream()
+    odd = [t.n for t in terms if isqrt(t.denominator) ** 2 != t.denominator]
+    _check(results, "even_valuations", not odd,
+           f"{len(terms) - len(odd)}/{len(terms)} denominators are squares"
+           + (f"; first non-square D_{odd[0]}" if odd else ""))
     return results
 
 
-def suite_sequence(p_point: Point, q_point: Point) -> list[CheckResult]:
+def _primary(value: int, support: int) -> int:
+    """The largest divisor of ``value`` whose primes all divide ``support``."""
+    return value // dn.strip_shared_primes(value, support)
+
+
+def suite_sequence(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     results = []
-    terms = list(dn.denom_sequence(p_point, q_point, 40))
+    terms = stream()
 
     _check(results, "reduced_terms",
            all(gcd(abs(t.numerator), t.denominator) == 1 and t.denominator >= 1 for t in terms))
@@ -148,21 +147,15 @@ def suite_sequence(p_point: Point, q_point: Point) -> list[CheckResult]:
     _check(results, "primitive_part_soundness", sound)
 
     # formal-group law and divisibility hold for the untranslated sequence
-    base = list(dn.denom_sequence(p_point, p_point.curve.identity(), 40))
-    denoms = [t.denominator for t in base]
-    bad = {p for p in factorize(abs(p_point.curve.discriminant)).factors} | {2}
-    candidates = _candidate_primes(base, bad)
+    denoms = [t.denominator for t in dn.denom_sequence(p_point, p_point.curve.identity(), 40)]
+    # with r = B_mk / B_m, the law at every good odd p | B_m says that r and k^2
+    # have the same part over the primes of B_m that do not divide 2 * disc
     law_ok = True
     for m in range(1, 41):
-        for p in candidates:
-            e = valuation(denoms[m - 1], p) if denoms[m - 1] % p == 0 else 0
-            if e == 0:
-                continue
-            k = 2
-            while m * k <= 40:
-                if valuation(denoms[m * k - 1], p) != e + 2 * valuation(k, p):
-                    law_ok = False
-                k += 1
+        good = dn.strip_shared_primes(denoms[m - 1], 2 * p_point.curve.discriminant)
+        for k in range(2, 40 // m + 1):
+            r, rest = divmod(denoms[m * k - 1], denoms[m - 1])
+            law_ok = law_ok and rest == 0 and _primary(r, good) == _primary(k * k, good)
     _check(results, "formal_group_valuations", law_ok)
     _check(results, "divisibility", all(
         denoms[n - 1] % denoms[m - 1] == 0
@@ -182,7 +175,7 @@ def suite_sequence(p_point: Point, q_point: Point) -> list[CheckResult]:
     return results
 
 
-def suite_modp(p_point: Point, q_point: Point) -> list[CheckResult]:
+def suite_modp(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     results = []
     curve = p_point.curve
     good = [p for p in primes_upto(500) if curve.discriminant % p != 0]
@@ -229,14 +222,13 @@ SUITES = {
 
 
 def run_suite(name: str, p_point: Point, q_point: Point) -> list[CheckResult]:
-    if name == "all":
-        out = []
-        for suite_name, fn in SUITES.items():
-            out.extend(
-                CheckResult(f"{suite_name}.{r.name}", r.ok, r.detail)
-                for r in fn(p_point, q_point)
-            )
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise KeyError(name)
-    return [CheckResult(f"{name}.{r.name}", r.ok, r.detail) for r in SUITES[name](p_point, q_point)]
+    # built on first call only: group and modp never call it, and must still
+    # run on a fixture whose stream raises (torsion P, nP+Q = O)
+    stream = functools.cache(lambda: list(dn.denom_sequence(p_point, q_point, 40)))
+    return [
+        CheckResult(f"{suite_name}.{r.name}", r.ok, r.detail)
+        for suite_name in (SUITES if name == "all" else [name])
+        for r in SUITES[suite_name](p_point, q_point, stream)
+    ]

@@ -151,12 +151,28 @@ def test_verify_command_passes(capsys, fixture_path):
 
 
 def test_verify_command_reports_failures(capsys, fixture_path, monkeypatch):
-    def broken_suite(p_point, q_point):
+    def broken_suite(p_point, q_point, stream):
         return [CheckResult("always_fails", False, "engineered failure")]
     monkeypatch.setitem(cli.suites.SUITES, "group", broken_suite)
     code, out, _ = run_cli(capsys, "verify", fixture_path(FIXTURE_65A), "--suite", "group")
     assert code == 3
     assert "FAIL group.always_fails" in out
+
+
+# neither fixture has a term stream: P has order 2, resp. 2P+Q = O
+@pytest.mark.parametrize("text", ["curve=[1,0,0,-1,0]; P=[0,0]; Q=O",
+                                  "curve=[0,0,0,-4,4]; P=[0,2]; Q=[1,1]"],
+                         ids=["torsion-P", "collision"])
+@pytest.mark.parametrize("suite,expected", [("group", 0), ("modp", 0), ("heights", 2), ("all", 2)])
+def test_verify_without_a_term_stream(capsys, fixture_path, text, suite, expected):
+    code, out, err = run_cli(capsys, "verify", fixture_path(text), "--suite", suite)
+    assert code == expected
+    if expected == 0:
+        lines = out.splitlines()
+        assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+    else:
+        assert out == ""
+        assert err.startswith("elldiv: precondition violated: ") and err.count("\n") == 1
 
 
 def test_verify_unknown_suite(capsys, fixture_path):

@@ -273,17 +273,19 @@ def test_growth_estimate(e37, p37, p65, q65):
 
 
 def test_parity_of_valuations(e37, p37, p65, q65):
-    # every prime dividing D_n to odd order must divide the discriminant
-    for p_point, q_point in [(p37, e37.identity()), (p65, q65)]:
-        disc = p_point.curve.discriminant
+    # on an integral model x = a/d^2 at every prime, bad ones included, so each
+    # D_n and each primitive part is a perfect square
+    extra = [((0, 0, 8, -16, 0), (0, 0), None),   # 37a scaled by u = 2
+             ((0, 0, 0, -4, 4), (0, 2), (2, -2)),
+             ((0, 0, 1, -7, 6), (0, 2), (1, 0))]
+    cases = [(p37, e37.identity()), (p65, q65)]
+    for coeffs, p_xy, q_xy in extra:
+        curve = WeierstrassCurve(*coeffs)
+        cases.append((curve.point(*p_xy), curve.identity() if q_xy is None else curve.point(*q_xy)))
+    for p_point, q_point in cases:
         for term, part in primitive_parts(denom_sequence(p_point, q_point, 40)):
-            candidates = {p for p in primes_upto(500) if term.denominator % p == 0}
-            if part > 1:
-                root = math.isqrt(part)
-                assert root * root == part   # parts are perfect squares here
-            for p in candidates:
-                if disc % p != 0:
-                    assert valuation(term.denominator, p) % 2 == 0
+            assert math.isqrt(term.denominator) ** 2 == term.denominator
+            assert math.isqrt(part) ** 2 == part
 
 
 def test_formal_group_valuation_law(e37, p37, e65, p65):

@@ -4,7 +4,11 @@ The files under tests/golden/ were written by the CLI before the refactors they
 guard (the term stream; batch trial division in factorize); a change that
 alters any row, check line or formatting fails here. The budget-2^16 primdiv
 case is the benchmark's certify argv: it pins certificate primes and
-fully_factored flags that the n = 25 rows do not reach.
+fully_factored flags that the n = 25 rows do not reach. The verify files were
+written again when the parity check became the square test on D_n, which
+changed only the parity.even_valuations detail; every other verify line,
+including the sequence checks that moved from factoring to gcds, is as first
+written.
 """
 
 from pathlib import Path

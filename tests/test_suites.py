@@ -1,0 +1,83 @@
+"""The ``verify`` suites on corrupted term streams, and what each suite reads."""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from elldiv import denominators, numtheory, suites
+from elldiv.cli import load_fixture
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# (fixture, m, k, p): p is a good odd prime of the untranslated B_m, mk <= 40
+FORMAL_GROUP_CORRUPTIONS = [("37a", 7, 3, 3), ("65a", 3, 3, 3)]
+
+
+def points(name):
+    fixture = load_fixture(str(FIXTURES / f"{name}.fixture"))
+    return fixture.p, fixture.q
+
+
+def outcomes(results):
+    return {r.name: r.ok for r in results}
+
+
+def scaled(terms, n, factor):
+    """The terms with D_n multiplied by ``factor``."""
+    out = list(terms)
+    out[n - 1] = dataclasses.replace(out[n - 1], denominator=out[n - 1].denominator * factor)
+    return out
+
+
+@pytest.mark.parametrize("name", ["37a", "65a"])
+def test_parity_rejects_a_non_square_denominator(name):
+    p_point, q_point = points(name)
+    terms = list(denominators.denom_sequence(p_point, q_point, 40))
+    assert outcomes(suites.suite_parity(p_point, q_point, lambda: terms))["even_valuations"]
+    corrupted = scaled(terms, 10, 3)
+    assert not outcomes(suites.suite_parity(p_point, q_point, lambda: corrupted))["even_valuations"]
+
+
+@pytest.mark.parametrize("name,m,k,p", FORMAL_GROUP_CORRUPTIONS)
+def test_formal_group_check_rejects_a_wrong_valuation(monkeypatch, name, m, k, p):
+    p_point, q_point = points(name)
+    terms = list(denominators.denom_sequence(p_point, q_point, 40))
+    real = denominators.denom_sequence
+    b_m = next(t.denominator for t in real(p_point, p_point.curve.identity(), m) if t.n == m)
+    assert b_m % p == 0 and (2 * p_point.curve.discriminant) % p != 0
+
+    def corrupted(p_arg, q_arg, count):
+        out = list(real(p_arg, q_arg, count))
+        return iter(scaled(out, m * k, p) if q_arg.is_identity else out)
+
+    monkeypatch.setattr(denominators, "denom_sequence", corrupted)
+    assert not outcomes(suites.suite_sequence(p_point, q_point, lambda: terms))["formal_group_valuations"]
+
+
+@pytest.mark.parametrize("name", ["37a", "65a"])
+@pytest.mark.parametrize("suite", ["parity", "sequence"])
+def test_theorem_suites_factor_nothing(monkeypatch, name, suite):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("factorize called")
+
+    for module in (numtheory, denominators, suites):
+        monkeypatch.setattr(module, "factorize", refuse)
+    results = suites.run_suite(suite, *points(name))
+    assert results and all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("suite,builds", [("group", 0), ("modp", 0), ("heights", 1),
+                                          ("parity", 1), ("sequence", 1), ("all", 1)])
+def test_run_suite_builds_the_stream_at_most_once(monkeypatch, suite, builds):
+    p_point, q_point = points("65a")
+    real = denominators.denom_sequence
+    calls = []
+
+    def counted(p_arg, q_arg, count):
+        calls.append(q_arg)
+        return real(p_arg, q_arg, count)
+
+    monkeypatch.setattr(denominators, "denom_sequence", counted)
+    suites.run_suite(suite, p_point, q_point)
+    assert calls.count(q_point) == builds
