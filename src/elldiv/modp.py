@@ -21,12 +21,12 @@ the Hasse interval to one value, which Mestre's theorem guarantees for
 p > 229.
 
 Every operation is deterministic: the random points used by order-finding
-are drawn from a generator seeded by (p, curve coefficients), so results
-do not depend on call order or parallel scheduling.
+are drawn from a random.Random seeded by the text "p:a1:a2:a3:a4:a6", so
+results do not depend on call order, parallel scheduling or the hash seed.
+random hashes a str seed with its own SHA-512, so hashlib is never loaded.
 """
 
 import functools
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -262,9 +262,10 @@ def group_order_by_enumeration(cp: FpCurve) -> int:
     return count
 
 
-def _seed(cp: FpCurve) -> int:
-    text = f"{cp.p}:{cp.a1}:{cp.a2}:{cp.a3}:{cp.a4}:{cp.a6}"
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+def _seed(cp: FpCurve) -> str:
+    # text, never hash(): random turns a str seed into the same state on
+    # every run, whatever PYTHONHASHSEED says
+    return f"{cp.p}:{cp.a1}:{cp.a2}:{cp.a3}:{cp.a4}:{cp.a6}"
 
 
 def _random_affine(cp, rng):

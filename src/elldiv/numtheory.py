@@ -13,6 +13,7 @@ Every prime listed in a factorization passed ``is_prime``: a proof below
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 TRIAL_DIVISION_BOUND = 10 ** 6
@@ -29,7 +30,7 @@ TRIAL_CHUNK = 200
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3317044064679887385961981
 
-_SMALL_PRIME_CACHE: list[int] = []
+_SMALL_PRIME_CACHE = array("I")
 _CHUNK_PRODUCTS: dict[int, int] = {}
 
 
@@ -121,33 +122,39 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def primes_upto(limit: int, *, segment_size: int = 1 << 18) -> list[int]:
-    """All primes <= limit in ascending order, by segmented sieve."""
+def _prime_runs(limit: int, segment_size: int):
+    # The primes <= limit as ascending runs, one per segment of an odd-only
+    # segmented sieve: 2 first, then entry i of the segment from lo stands
+    # for lo + 2 i. The odd primes up to isqrt(limit) that strike the
+    # segments come from the same sieve, one level down.
     if limit < 2:
-        return []
-    root = math.isqrt(limit)
-    base = bytearray([1]) * (root + 1)
-    base[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(root) + 1):
-        if base[i]:
-            base[i * i :: i] = b"\x00" * len(base[i * i :: i])
-    small = list(itertools.compress(range(root + 1), base))
-
-    primes = list(small)
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + segment_size - 1, limit)
-        seg = bytearray([1]) * (hi - lo + 1)
-        for p in small:
+        return
+    yield (2,)
+    base = list(itertools.chain.from_iterable(_prime_runs(math.isqrt(limit), segment_size)))[1:]
+    for lo in range(3, limit + 1, 2 * segment_size):
+        size = min(segment_size, (limit - lo) // 2 + 1)
+        hi = lo + 2 * (size - 1)
+        seg = bytearray([1]) * size
+        for p in base:
             if p * p > hi:
                 break
-            start = max(p * p, (lo + p - 1) // p * p)
-            if start > hi:
-                continue
-            seg[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-        primes.extend(itertools.compress(range(lo, hi + 1), seg))
-        lo = hi + 1
-    return primes
+            # the least odd multiple of p that is >= lo, and at least p^2
+            start = max(p * p, -(-lo // p) * p)
+            if start % 2 == 0:
+                start += p
+            first = (start - lo) // 2
+            seg[first::p] = bytes(len(range(first, size, p)))
+        yield itertools.compress(range(lo, hi + 1, 2), seg)
+
+
+def primes_upto(limit: int, *, segment_size: int = 1 << 18) -> list[int]:
+    """All primes <= limit in ascending order.
+
+    An odd-only segmented sieve: each segment holds ``segment_size`` odd
+    numbers, one byte each. The trial-division table comes from the same
+    sieve.
+    """
+    return list(itertools.chain.from_iterable(_prime_runs(limit, segment_size)))
 
 
 def _pool_map(fn, items: list, workers: int) -> list:
@@ -159,10 +166,12 @@ def _pool_map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _small_primes() -> list[int]:
-    # primes up to the trial-division bound, sieved once per process
+def _small_primes() -> array:
+    # primes up to the trial-division bound, sieved once per process into
+    # 4-byte entries; no list of them is ever built
     if not _SMALL_PRIME_CACHE:
-        _SMALL_PRIME_CACHE.extend(primes_upto(TRIAL_DIVISION_BOUND))
+        _SMALL_PRIME_CACHE.extend(itertools.chain.from_iterable(
+            _prime_runs(TRIAL_DIVISION_BOUND, 1 << 18)))
     return _SMALL_PRIME_CACHE
 
 

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from _oracles import (
     trial_division_primes,
 )
 from elldiv.modp import (
+    MESTRE_BOUND,
     BadReductionError,
     FpPoint,
     _annihilator,
@@ -38,6 +43,15 @@ from elldiv.rational_ec import SingularCurveError, TorsionPointError, Weierstras
 # below (test_membership_witness_is_sound covers every p <= 300)
 MEMBERS_65A_UPTO_200 = [2, 17, 41, 73, 89, 97, 109, 113, 137, 149, 157, 193, 197]
 SWEEP_65A = {100: 6, 1000: 43, 3000: 117}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code, **env):
+    """stdout of code run in a new interpreter on this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, check=True)
+    return done.stdout
 
 
 def orbit_walk_member(cp, p_reduced, q_reduced):
@@ -416,3 +430,33 @@ def test_sweep_matches_the_oracle_route(name):
     p_point, q_point = curve_points(name)
     primes = primes_upto(4 * 10 ** 4)
     assert sweep_primes(p_point, q_point, primes) == sweep_primes_reference(p_point, q_point, primes)
+
+
+def test_order_finding_points_do_not_depend_on_the_hash_seed():
+    # the generator's seed is text, so str hash randomisation cannot reach it
+    primes = [p for p in primes_upto(MESTRE_BOUND + 200) if p > MESTRE_BOUND][:3]
+    code = (
+        "import random\n"
+        "from elldiv import WeierstrassCurve\n"
+        "from elldiv.modp import _random_affine, _seed, reduce_curve\n"
+        "curve = WeierstrassCurve(1, 0, 0, -1, 0)\n"
+        f"for p in {primes}:\n"
+        "    cp = reduce_curve(curve, p)\n"
+        "    rng = random.Random(_seed(cp))\n"
+        "    print(p, [_random_affine(cp, rng) for _ in range(4)])\n"
+    )
+    runs = [_fresh_python(code, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert runs[0] == runs[1] and len(runs[0].splitlines()) == 3
+
+
+def test_no_hashlib_after_setup_and_a_pooled_sweep():
+    # hashlib loads OpenSSL, which would add megabytes to every command
+    code = (
+        "import sys\n"
+        "import elldiv, elldiv.cli\n"
+        "elldiv.factorize(4)\n"
+        "curve = elldiv.WeierstrassCurve(1, 0, 0, -1, 0)\n"
+        "result = elldiv.lang_trotter_sweep(curve.point(1, 0), curve.point(0, 0), 2000, workers=2)\n"
+        "print(result.count, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    assert _fresh_python(code) == "79 []\n"

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+from array import array
 
 import pytest
 
@@ -9,8 +10,10 @@ from elldiv.denominators import denom_sequence, primitive_parts
 from elldiv.numtheory import (
     DEFAULT_RHO_BUDGET,
     TRIAL_CHUNK,
+    TRIAL_DIVISION_BOUND,
     Factorization,
     _brent_rho,
+    _small_primes,
     _strong_lucas_probable_prime,
     divisor_count,
     factorize,
@@ -65,11 +68,24 @@ def test_primes_upto_matches_simple_sieve_at_every_limit_to_3000():
 def test_primes_upto_one_million():
     primes = primes_upto(10 ** 6)
     assert len(primes) == 78_498 and primes[-1] == 999_983
+    # the trial-division table holds the same primes in 4-byte entries
+    table = _small_primes()
+    assert isinstance(table, array) and table.itemsize == 4
+    assert table.tolist() == primes_upto(TRIAL_DIVISION_BOUND) == primes
 
 
 def test_primes_upto_segmentation_boundaries():
     # force several segments to make sure the stitching is seamless
     assert primes_upto(10 ** 4, segment_size=64) == simple_sieve(10 ** 4)
+    # odd-only start offsets go wrong, if at all, where a p^2 or the limit
+    # meets a segment edge; the segment k >= 1 starts at 3 + 2 k size
+    reference = simple_sieve(10 ** 4)
+    squares = [p * p for p in reference if p < 100]
+    for size in (1, 2, 3, 7, 64):
+        edges = [3 + 2 * k * size for k in range(1, 40)]
+        for limit in sorted({m + d for m in squares + edges for d in (-2, -1, 0, 1)}):
+            expected = reference[: bisect.bisect_right(reference, limit)]
+            assert primes_upto(limit, segment_size=size) == expected, (size, limit)
 
 
 def test_primes_upto_entries_pass_trial_division():
