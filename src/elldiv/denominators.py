@@ -203,19 +203,18 @@ def _report(term: DenomTerm, part: int, fac: Factorization) -> PrimitiveDivisorR
 
 
 def primitive_reports(terms: Iterable[DenomTerm], rho_budget: int = DEFAULT_RHO_BUDGET,
-                      workers: int = 1) -> Iterable[tuple[DenomTerm, PrimitiveDivisorReport]]:
+                      workers: int = 1) -> list[tuple[DenomTerm, PrimitiveDivisorReport]]:
     """Each term paired with its ``primitive_report``; terms as for ``primitive_parts``.
 
-    With workers > 1 the parts are factored on that many processes, largest
-    first so that the slowest starts earliest; the reports are unchanged.
-    workers = 1 starts no process. No environment setting is read.
+    Every report is computed before this returns, so a precondition failure
+    in the terms raises before any report exists. The parts are factored on
+    ``workers`` processes, largest first so that the slowest starts earliest;
+    one worker, or a single part, runs in the calling process. The reports do
+    not depend on ``workers``, and no environment setting is read.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    pairs = primitive_parts(terms)
-    if workers == 1:
-        return ((term, primitive_report(term, part, rho_budget)) for term, part in pairs)
-    pairs = list(pairs)
+    pairs = list(primitive_parts(terms))
     # parts above 1 are pairwise coprime, so they are distinct keys
     parts = sorted((part for _, part in pairs if part > 1), reverse=True)
     facs = dict(zip(parts, _pool_map(functools.partial(factorize, rho_budget=rho_budget), parts, workers)))

@@ -533,27 +533,23 @@ def lang_trotter_sweep(
 ) -> OrbitSweepResult:
     """Count primes p <= x, p not dividing disc, with Q mod p in <P mod p>.
 
-    With workers > 1 the prime range is split across that many processes;
-    per-prime results are independent and merged by commutative counting,
-    so the outcome is identical for every partition. workers must be at
-    least 1; the library reads no environment setting.
+    The primes go in ascending chunks of at least 64, about four per worker,
+    to ``workers`` processes; one worker, or a single chunk, runs in the
+    calling process. Per-prime results are independent and merged by
+    commutative counting, so the outcome is identical for every partition.
+    workers must be at least 1; the library reads no environment setting.
     """
     require_infinite_order(p_point)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     primes = primes_upto(x)
-
-    if workers == 1 or len(primes) < 64:
-        count, members, skipped = sweep_primes(p_point, q_point, primes)
-    else:
-        chunk_count = min(4 * workers, len(primes))
-        size = -(-len(primes) // chunk_count)
-        chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
-        results = _pool_map(functools.partial(sweep_primes, p_point, q_point), chunks, workers)
-        # the chunks ascend and keep their order, so the joined lists are sorted
-        count = sum(c for c, _, _ in results)
-        members = [p for _, m, _ in results for p in m]
-        skipped = [p for _, _, s in results for p in s]
+    size = max(64, -(-len(primes) // (4 * workers)))
+    chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
+    results = _pool_map(functools.partial(sweep_primes, p_point, q_point), chunks, workers)
+    # the chunks ascend and keep their order, so the joined lists are sorted
+    count = sum(c for c, _, _ in results)
+    members = [p for _, m, _ in results for p in m]
+    skipped = [p for _, _, s in results for p in s]
 
     log_x = math.log(x) if x >= 2 else 0.0
     ratio = count / math.sqrt(log_x) if log_x > 0 else 0.0

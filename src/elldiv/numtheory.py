@@ -21,6 +21,7 @@ DEFAULT_RHO_BUDGET = 1 << 22
 # primes per gcd in batch trial division; 200 primes near 10^6 make a
 # product of about 4,000 bits
 TRIAL_CHUNK = 200
+_SEGMENT_SIZE = 1 << 18
 
 # Strong tests to the 13 prime bases 2..41 decide primality for every
 # n < psi_13 = 3317044064679887385961981 (Sorenson & Webster, Math. Comp.
@@ -147,20 +148,24 @@ def _prime_runs(limit: int, segment_size: int):
         yield itertools.compress(range(lo, hi + 1, 2), seg)
 
 
-def primes_upto(limit: int, *, segment_size: int = 1 << 18) -> list[int]:
+def primes_upto(limit: int) -> list[int]:
     """All primes <= limit in ascending order.
 
-    An odd-only segmented sieve: each segment holds ``segment_size`` odd
+    An odd-only segmented sieve: each segment holds _SEGMENT_SIZE odd
     numbers, one byte each. The trial-division table comes from the same
     sieve.
     """
-    return list(itertools.chain.from_iterable(_prime_runs(limit, segment_size)))
+    return list(itertools.chain.from_iterable(_prime_runs(limit, _SEGMENT_SIZE)))
 
 
 def _pool_map(fn, items: list, workers: int) -> list:
-    # fn over items on that many processes, sent and returned in list order;
-    # every worker is joined before this returns, so none holds stdout open.
-    # Imported here so that serial runs never load multiprocessing.
+    # fn over items, returned in list order. The one place that chooses
+    # between this process and a pool: one worker, or fewer than two items,
+    # runs here and never imports multiprocessing. Otherwise the items go to
+    # that many processes, every one joined before this returns, so none
+    # holds stdout open.
+    if workers == 1 or len(items) < 2:
+        return list(map(fn, items))
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -171,7 +176,7 @@ def _small_primes() -> array:
     # 4-byte entries; no list of them is ever built
     if not _SMALL_PRIME_CACHE:
         _SMALL_PRIME_CACHE.extend(itertools.chain.from_iterable(
-            _prime_runs(TRIAL_DIVISION_BOUND, 1 << 18)))
+            _prime_runs(TRIAL_DIVISION_BOUND, _SEGMENT_SIZE)))
     return _SMALL_PRIME_CACHE
 
 
@@ -353,10 +358,8 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         if e > 1:
             pending.append((root, mult * e))
             continue
-        d = None
-        if budget > 0:
-            d, spent = _brent_rho(m, budget)
-            budget -= spent
+        d, spent = _brent_rho(m, budget)
+        budget -= spent
         if d is None:
             result.unfactored_cofactor *= m ** mult
         else:

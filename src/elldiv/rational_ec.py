@@ -178,7 +178,7 @@ def torsion_order(point: Point) -> int | None:
     return None
 
 
-def require_infinite_order(point: Point, role: str = "P") -> None:
+def require_infinite_order(point: Point) -> None:
     order = torsion_order(point)
     if order is not None:
-        raise TorsionPointError(f"{role} has finite order {order}; an infinite-order point is required")
+        raise TorsionPointError(f"P has finite order {order}; an infinite-order point is required")

@@ -270,6 +270,19 @@ def test_primdiv_respects_thread_env(capsys, fixture_path, monkeypatch):
         assert err.startswith("elldiv: error: ELLDIV_THREADS") and repr(bad) in err
 
 
+def test_primdiv_collision_writes_nothing_for_any_thread_count(capsys, fixture_path, monkeypatch):
+    # Q = -3P, so D_3 is undefined; no row may reach stdout before the error
+    path = fixture_path("curve=[0,0,1,-1,0]; P=[0,0]; Q=[-1,0]", "collide.fixture")
+    monkeypatch.delenv("ELLDIV_THREADS", raising=False)
+    serial = run_cli(capsys, "primdiv", path, "--n", "5", "--factor-budget", "0")
+    monkeypatch.setenv("ELLDIV_THREADS", "2")
+    pooled = run_cli(capsys, "primdiv", path, "--n", "5", "--factor-budget", "0")
+    assert serial == pooled
+    code, out, err = serial
+    assert code == 2 and out == ""
+    assert err.startswith("elldiv: ") and err.count("\n") == 1
+
+
 def test_primdiv_leaves_no_worker_behind(capsys, monkeypatch):
     # a worker alive after main returns would hold the caller's stdout open
     monkeypatch.setenv("ELLDIV_THREADS", "2")

@@ -98,6 +98,9 @@ def test_collision_with_identity(p37):
     assert next(seq).n == 2
     with pytest.raises(CollisionWithIdentityError):
         next(seq)
+    # every report is computed in the call, so the collision raises there
+    with pytest.raises(CollisionWithIdentityError):
+        primitive_reports(denom_sequence(p37, q_point, 5), workers=1)
 
 
 def test_bad_set_65a(q65):

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import random
 from array import array
@@ -13,6 +14,7 @@ from elldiv.numtheory import (
     TRIAL_DIVISION_BOUND,
     Factorization,
     _brent_rho,
+    _prime_runs,
     _small_primes,
     _strong_lucas_probable_prime,
     divisor_count,
@@ -75,8 +77,11 @@ def test_primes_upto_one_million():
 
 
 def test_primes_upto_segmentation_boundaries():
+    def sieved(limit, size):
+        return list(itertools.chain.from_iterable(_prime_runs(limit, size)))
+
     # force several segments to make sure the stitching is seamless
-    assert primes_upto(10 ** 4, segment_size=64) == simple_sieve(10 ** 4)
+    assert sieved(10 ** 4, 64) == simple_sieve(10 ** 4)
     # odd-only start offsets go wrong, if at all, where a p^2 or the limit
     # meets a segment edge; the segment k >= 1 starts at 3 + 2 k size
     reference = simple_sieve(10 ** 4)
@@ -85,7 +90,7 @@ def test_primes_upto_segmentation_boundaries():
         edges = [3 + 2 * k * size for k in range(1, 40)]
         for limit in sorted({m + d for m in squares + edges for d in (-2, -1, 0, 1)}):
             expected = reference[: bisect.bisect_right(reference, limit)]
-            assert primes_upto(limit, segment_size=size) == expected, (size, limit)
+            assert sieved(limit, size) == expected, (size, limit)
 
 
 def test_primes_upto_entries_pass_trial_division():
