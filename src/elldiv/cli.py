@@ -212,7 +212,7 @@ def _cmd_ltcount(fixture: Fixture, args) -> int:
 
 
 def _cmd_badset(fixture: Fixture, args) -> int:
-    bad = bad_set(fixture.q)
+    bad = bad_set(fixture.q, args.factor_budget)
     _emit_json({
         "label": fixture.label,
         "primes": [str(p) for p in bad.primes],
@@ -279,10 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("seq", _cmd_seq, "emit terms (C_n, D_n) of x(nP+Q) as CSV")
     p.add_argument("--n", type=_int_at_least(1), required=True, help="number of terms")
 
+    def add_factor_budget(p):
+        p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_RHO_BUDGET,
+                       help="Pollard-rho iteration budget per certificate")
+
     p = add("primdiv", _cmd_primdiv, "emit primitive-divisor reports as CSV")
     p.add_argument("--n", type=_int_at_least(1), required=True, help="number of terms")
-    p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_RHO_BUDGET,
-                   help="Pollard-rho iteration budget per certificate")
+    add_factor_budget(p)
 
     p = add("height", _cmd_height, "canonical height of P as JSON")
     p.add_argument("--tol", type=_tolerance, default=1e-6, help="largest acceptable error bound")
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_int_at_least(2), required=True, help="sweep bound")
     p.add_argument("--keep-primes", action="store_true", help="include the member primes")
 
-    add("badset", _cmd_badset, "excluded-prime set for the fixture as JSON")
+    add_factor_budget(add("badset", _cmd_badset, "excluded-prime set for the fixture as JSON"))
 
     p = add("verify", _cmd_verify, "run a named invariant suite")
     p.add_argument("--suite", required=True,

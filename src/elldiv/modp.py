@@ -1,5 +1,13 @@
 """Reduction mod good primes, finite group computations, and orbit counting.
 
+At a good p >= 5 the group computations run on the short model
+y^2 = x^3 + Ax + B with A = -27 c4 and B = -54 c6, reached by the
+isomorphism (x, y) -> (36x + 3 b2, 108 (2y + a1 x + a3)) (Silverman, AEC
+III.1), so orders, membership and discrete-log witnesses are unchanged. At
+p = 2 and 3 there is no short model and #E(F_p) <= 7, so orders and logs
+come from walking the multiples of P on the general model, which also
+serves FpPoint arithmetic.
+
 Membership of Q mod p in <P mod p> costs one order computation per prime.
 A ± baby-step / giant-step search over the Hasse interval (Shanks; Cohen,
 GTM 138, ch. 7) finds some positive multiple M of ord(P), or a supplied
@@ -9,16 +17,18 @@ in the S-primary part of <P>, the cyclic group generated by
 R = (M / M_S) P. Its order is found by stripping only the primes in S,
 and the discrete log is solved by BSGS in the subgroup of <R> of order
 ord(Q), as in Pohlig-Hellman. This is correct even when E(F_p) itself is
-not cyclic. When Q is torsion of order t over Q, the orbit sweep takes S
-from t once per call, so it factors nothing per prime, and its search
-for M steps by ord(Q mod p), which divides #E(F_p) (Lagrange); otherwise
-S is the set of primes of M.
+not cyclic. When Q is torsion of order t over Q, torsion injects into
+E(F_p) at good p >= 5 (AEC VII.3.1(b), IV.6.1), so ord(Q mod p) = t. The
+orbit sweep then takes S from t once per call and factors nothing per
+prime, its search for M steps by t, which divides #E(F_p) (Lagrange),
+and membership is a walk over the at most 12 multiples (Mazur) of the
+order-t subgroup of <R>. Otherwise S is the set of primes of M.
 
 Group orders come from exhaustive counting for p <= 229. Above that
 they come from BSGS orders of random points on E and on its quadratic
 twist E': since #E + #E' = 2p + 2, the two lcms of sampled orders narrow
 the Hasse interval to one value, which Mestre's theorem guarantees for
-p > 229.
+p > 229. Sampling takes no square roots (see group_order).
 
 Every operation is deterministic: the random points used by order-finding
 are drawn from a random.Random seeded by the text "p:a1:a2:a3:a4:a6", so
@@ -36,7 +46,7 @@ from .numtheory import _pool_map, factorize, primes_upto
 from .rational_ec import Point, WeierstrassCurve, require_infinite_order, torsion_order
 
 MESTRE_BOUND = 229             # group_order enumerates at or below
-BSGS_SAMPLE_LIMIT = 8          # random points per curve
+BSGS_SAMPLE_LIMIT = 8          # random points per curve, on average
 
 
 class BadReductionError(ValueError):
@@ -107,6 +117,7 @@ def _wrap(cp: FpCurve, t) -> FpPoint:
 
 
 # -- raw tuple arithmetic (affine pairs, None for the identity) --------------
+# general model: FpPoint arithmetic, and every group computation at p <= 3
 
 def _neg(cp, a):
     if a is None:
@@ -139,31 +150,78 @@ def _add(cp, a, b):
     return (x3, y3)
 
 def _mul(cp, k, a):
-    """k*a by double-and-add, with the chord and tangent steps inline."""
+    """k*a by double-and-add over _add."""
     if k < 0:
         k, a = -k, _neg(cp, a)
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = _add(cp, _add(cp, acc, acc), a if bit == "1" else None)
+    return acc
+
+
+def _multiples(cp, a):
+    """[O, a, 2a, ...] up to (ord(a) - 1)*a; for p <= 3, where #E(F_p) <= 7."""
+    walk = [None]
+    while (nxt := _add(cp, walk[-1], a)) is not None:
+        walk.append(nxt)
+    return walk
+
+
+# -- the short model y^2 = x^3 + A x + B, for good p >= 5 ---------------------
+
+def _short_model(c):
+    """(A, B) = (-27 c4, -54 c6) of c's coefficients, not reduced mod p."""
+    b2, b4, b6 = _b_invariants(c)
+    return -27 * (b2 * b2 - 24 * b4), -54 * (36 * b2 * b4 - b2 ** 3 - 216 * b6)
+
+
+def _short_triple(c, big_x, big_y, z):
+    """(X : Y : Z) under (x, y) -> (36x + 3 b2, 108 (2y + a1 x + a3)), onto the short model."""
+    return (36 * big_x + 3 * (c.a1 * c.a1 + 4 * c.a2) * z,
+            108 * (2 * big_y + c.a1 * big_x + c.a3 * z), z)
+
+
+def _to_short(cp, *points):
+    """p, A mod p and the short-model images of general-model points, p >= 5."""
+    p = cp.p
+    return (p, _short_model(cp)[0] % p,
+            *(None if a is None else _reduce_triple(*_short_triple(cp, *a, 1), p) for a in points))
+
+
+def _short_add(p, A, a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _short_mul(p, A, k, a):
+    """k*a for k >= 0 by double-and-add, with the chord and tangent steps inline."""
     if a is None:
         return None
-    p, a1, a2, a3, a4 = cp.p, cp.a1, cp.a2, cp.a3, cp.a4
     x, y = a
     acc = None
     while True:
         if k & 1:
             if acc is None or acc[0] == x:
-                acc = _add(cp, acc, (x, y))
+                acc = _short_add(p, A, acc, (x, y))
             else:
                 lam = (acc[1] - y) * pow(acc[0] - x, -1, p) % p
-                x3 = (lam * lam + a1 * lam - a2 - acc[0] - x) % p
-                acc = (x3, (-(lam + a1) * x3 - (y - lam * x) - a3) % p)
+                x3 = (lam * lam - acc[0] - x) % p
+                acc = (x3, (lam * (x - x3) - y) % p)
         k >>= 1
-        if not k:
+        if not k or y == 0:         # done, or the doubled point is O and adds nothing
             return acc
-        den = (2 * y + a1 * x + a3) % p
-        if den == 0:
-            return acc              # the doubled point is O and adds nothing
-        lam = (3 * x * x + 2 * a2 * x + a4 - a1 * y) * pow(den, -1, p) % p
-        x3 = (lam * lam + a1 * lam - a2 - 2 * x) % p
-        x, y = x3, (-(lam + a1) * x3 - (y - lam * x) - a3) % p
+        lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
+        x3 = (lam * lam - 2 * x) % p
+        x, y = x3, (lam * (x - x3) - y) % p
 
 
 def reduce_curve(curve: WeierstrassCurve, p: int) -> FpCurve:
@@ -201,47 +259,8 @@ def reduce_point(point: Point, cp: FpCurve) -> FpPoint:
 
 # -- group order --------------------------------------------------------------
 
-def _sqrt_mod(a: int, p: int) -> int | None:
-    """Tonelli-Shanks square root mod an odd prime; None for non-residues."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        t = t * b * b % p
-        c = b * b % p
-        m = i
-    return x
-
-
 def _b_invariants(cp):
     return cp.a1 * cp.a1 + 4 * cp.a2, 2 * cp.a4 + cp.a1 * cp.a3, cp.a3 * cp.a3 + 4 * cp.a6
-
-
-def _quartic_rhs(cp, x):
-    # completed square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    b2, b4, b6 = _b_invariants(cp)
-    return (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % cp.p
 
 
 def group_order_by_enumeration(cp: FpCurve) -> int:
@@ -252,9 +271,11 @@ def group_order_by_enumeration(cp: FpCurve) -> int:
             1 for x in (0, 1) for y in (0, 1) if FpPoint(cp, x, y).on_curve()
         )
     squares = {y * y % p for y in range(p // 2 + 1)}
+    b2, b4, b6 = _b_invariants(cp)
     count = 1
     for x in range(p):
-        rhs = _quartic_rhs(cp, x)
+        # completed square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+        rhs = (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % p
         if rhs == 0:
             count += 1
         elif rhs in squares:
@@ -268,28 +289,12 @@ def _seed(cp: FpCurve) -> str:
     return f"{cp.p}:{cp.a1}:{cp.a2}:{cp.a3}:{cp.a4}:{cp.a6}"
 
 
-def _random_affine(cp, rng):
-    p = cp.p
-    inv2 = pow(2, -1, p)
-    for _ in range(4 * p):
-        x = rng.randrange(p)
-        rhs = _quartic_rhs(cp, x)
-        u = _sqrt_mod(rhs, p)
-        if u is None:
-            continue
-        if rng.randrange(2):
-            u = (-u) % p
-        y = (u - cp.a1 * x - cp.a3) * inv2 % p
-        return (x, y)
-    return None
-
-
 def _hasse_interval(p: int) -> tuple[int, int]:
     w = isqrt(4 * p)
     return p + 1 - w, p + 1 + w
 
 
-def _bsgs(cp, b, target, lo, hi) -> int | None:
+def _bsgs(p, A, b, target, lo, hi) -> int | None:
     """Some m with m*b = target for b != O, or None if no m in [lo, hi] has it.
 
     ± matching: baby steps j*b, j = 1..s, are keyed by x, so a giant point
@@ -298,9 +303,8 @@ def _bsgs(cp, b, target, lo, hi) -> int | None:
     ord(b) <= 2s + 1 shows before the giant steps and is the answer for
     target = O, which always gets a positive m, in [lo, hi] or not.
     """
-    p, a1, a2, a3 = cp.p, cp.a1, cp.a2, cp.a3
     s = isqrt(hi - lo) // 2 + 1
-    (bx, by), g = b, _add(cp, b, b)
+    (bx, by), g = b, _short_add(p, A, b, b)
     table, order = {bx: (1, by)}, None if g else 2
     for j in range(2, s + 1 if g else 2):
         hit = table.get(g[0])
@@ -309,10 +313,10 @@ def _bsgs(cp, b, target, lo, hi) -> int | None:
             break
         table[g[0]] = (j, g[1])
         lam = (g[1] - by) * pow(g[0] - bx, -1, p) % p
-        x3 = (lam * lam + a1 * lam - a2 - g[0] - bx) % p
-        g = (x3, (-(lam + a1) * x3 - (by - lam * bx) - a3) % p)
+        x3 = (lam * lam - g[0] - bx) % p
+        g = (x3, (lam * (bx - x3) - by) % p)
     if order is None:
-        stride = _add(cp, _add(cp, g, g), _neg(cp, b))     # (2s + 1)*b
+        stride = _short_add(p, A, _short_add(p, A, g, g), (bx, -by % p))     # (2s + 1)*b
         order = None if stride else 2 * s + 1
     if order is not None:
         if target is None:
@@ -322,7 +326,9 @@ def _bsgs(cp, b, target, lo, hi) -> int | None:
 
     w, (wx, wy) = 2 * s + 1, stride
     c = w * max((lo + s) // w, 1 if target is None else 0)
-    g = _add(cp, _mul(cp, c // w, stride), _neg(cp, target))
+    g = _short_mul(p, A, c // w, stride)
+    if target is not None:
+        g = _short_add(p, A, g, (target[0], -target[1] % p))
     while c - s <= hi:
         if g is None:
             return c
@@ -330,30 +336,30 @@ def _bsgs(cp, b, target, lo, hi) -> int | None:
         if hit is not None:
             return c - hit[0] if g[1] == hit[1] else c + hit[0]
         if g[0] == wx:
-            g = _add(cp, g, stride)
+            g = _short_add(p, A, g, stride)
         else:
             lam = (g[1] - wy) * pow(g[0] - wx, -1, p) % p
-            x3 = (lam * lam + a1 * lam - a2 - g[0] - wx) % p
-            g = (x3, (-(lam + a1) * x3 - (wy - lam * wx) - a3) % p)
+            x3 = (lam * lam - g[0] - wx) % p
+            g = (x3, (lam * (wx - x3) - wy) % p)
         c += w
     return None
 
 
-def _annihilator(cp, a, step=1) -> int:
+def _annihilator(p, A, a, step=1) -> int:
     """A positive multiple of ord(a), not always the smallest.
 
     step must divide #E(F_p): then #E / step lies in the Hasse interval
     divided by step, where a BSGS finds m with m*(step*a) = O.
     """
-    lo, hi = _hasse_interval(cp.p)
-    b = _mul(cp, step, a)
-    m = 1 if b is None else _bsgs(cp, b, None, -(-lo // step), hi // step)
+    lo, hi = _hasse_interval(p)
+    b = _short_mul(p, A, step, a)
+    m = 1 if b is None else _bsgs(p, A, b, None, -(-lo // step), hi // step)
     if m is None:
         raise RuntimeError("annihilator search failed; group order outside Hasse window?")
     return step * m
 
 
-def _order_from_multiple(cp, a, multiple: int, primes=None) -> int:
+def _order_from_multiple(p, A, a, multiple: int, primes=None) -> int:
     """ord(a) from a multiple of it whose primes dividing ord(a) are all in primes.
 
     primes defaults to every prime of the multiple.
@@ -362,25 +368,9 @@ def _order_from_multiple(cp, a, multiple: int, primes=None) -> int:
         primes = factorize(multiple).factors
     order = multiple
     for q in primes:
-        while order % q == 0 and _mul(cp, order // q, a) is None:
+        while order % q == 0 and _short_mul(p, A, order // q, a) is None:
             order //= q
     return order
-
-
-def _quadratic_twist(cp: FpCurve) -> FpCurve:
-    """The twist D*Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 by a non-residue D, for odd p.
-
-    As a Weierstrass model with a1 = a3 = 0 its b-invariants are
-    (D b2, D^2 b4, D^3 b6), and #E + #E' = 2p + 2.
-    """
-    p = cp.p
-    d = 2
-    while pow(d, (p - 1) // 2, p) != p - 1:
-        d += 1
-    b2, b4, b6 = _b_invariants(cp)
-    inv2, inv4 = pow(2, -1, p), pow(4, -1, p)
-    return FpCurve(p, 0, b2 * d * inv4 % p, 0, b4 * d * d * inv2 % p,
-                   b6 * d ** 3 * inv4 % p, cp.discriminant * d ** 6 % p)
 
 
 def _hasse_candidate(p: int, order_lcm: int, twist_lcm: int) -> int | None:
@@ -394,66 +384,84 @@ def _hasse_candidate(p: int, order_lcm: int, twist_lcm: int) -> int | None:
 def group_order(cp: FpCurve) -> int:
     """#E(F_p): enumerated for p <= 229, from BSGS point orders above.
 
-    Above the bound, the lcms of sampled point orders on E and on its
-    quadratic twist E' divide #E and #E' = 2p + 2 - #E. Sampling
-    alternates between the two curves until one value in the Hasse
-    interval fits both. For p > 229 Mestre's theorem guarantees that the
-    group exponents of E and E' leave only #E.
+    Above the bound, each random x with f = x^3 + Ax + B != 0 on the short
+    model gives the point (xf, f^2) of y^2 = x^3 + A f^2 x + B f^3. That
+    curve is E when f is a square and its quadratic twist E' when not, so
+    no square root is taken. The lcms of the point orders on E and on E'
+    divide #E and #E' = 2p + 2 - #E, and sampling stops when one value in
+    the Hasse interval fits both. For p > 229 Mestre's theorem guarantees
+    that the group exponents of E and E' leave only #E.
     """
     p = cp.p
     if p <= MESTRE_BOUND:
         return group_order_by_enumeration(cp)
-    curves = (cp, _quadratic_twist(cp))
+    A, B = (v % p for v in _short_model(cp))
     lcms = [1, 1]
     rng = random.Random(_seed(cp))
-    for _ in range(BSGS_SAMPLE_LIMIT):
-        for i, curve in enumerate(curves):
-            pt = _random_affine(curve, rng)
-            lcms[i] = lcm(lcms[i], _order_from_multiple(curve, pt, _annihilator(curve, pt)))
+    for _ in range(2 * BSGS_SAMPLE_LIMIT):
+        x = rng.randrange(p)
+        f = (x ** 3 + A * x + B) % p
+        if f:
+            a, pt = A * f * f % p, (x * f % p, f * f % p)
+            twist = pow(f, (p - 1) // 2, p) != 1
+            lcms[twist] = lcm(lcms[twist], _order_from_multiple(p, a, pt, _annihilator(p, a, pt)))
             order = _hasse_candidate(p, *lcms)
             if order is not None:
                 return order
     raise RuntimeError(f"group order mod {p} still ambiguous after "
-                       f"{BSGS_SAMPLE_LIMIT} samples on E and its twist")
+                       f"{2 * BSGS_SAMPLE_LIMIT} random points on E and its twist")
 
 
 def point_order(point: FpPoint, group_order_hint: int | None = None) -> int:
-    """Exact order: strip primes from the group order (or a supplied multiple)."""
+    """Exact order: strip primes from the group order (or a supplied multiple).
+
+    At p <= 3 the order comes from walking the multiples of the point.
+    """
+    cp = point.curve
     if point.is_identity:
         return 1
-    multiple = group_order_hint if group_order_hint is not None else group_order(point.curve)
-    return _order_from_multiple(point.curve, point._tuple(), multiple)
+    if cp.p <= 3:
+        return len(_multiples(cp, point._tuple()))
+    multiple = group_order_hint if group_order_hint is not None else group_order(cp)
+    return _order_from_multiple(*_to_short(cp, point._tuple()), multiple)
 
 
-def _discrete_log(cp, a, q, multiple=None, primes=None) -> int | None:
+def _primary_part(p, A, a, multiple, primes):
+    """(c, r, ord(r)): r = c*a generates the primes-primary part of <a>.
+
+    c is multiple with the primes stripped, and multiple is one of ord(a).
+    """
+    cofactor = multiple
+    for ell in primes:
+        while cofactor % ell == 0:
+            cofactor //= ell
+    r = _short_mul(p, A, cofactor, a)
+    return cofactor, r, _order_from_multiple(p, A, r, multiple // cofactor, primes)
+
+
+def _discrete_log(p, A, a, q, multiple=None, primes=None) -> int | None:
     """k with k*a = q, or None when q is not in <a>.
 
     multiple is a multiple of ord(a), found by the annihilator search when
     omitted. primes must contain every prime of ord(q); it defaults to the
     primes of multiple, and then 0 <= k < ord(a). Only the primes-primary
-    part of <a>, generated by r = (multiple / its primes-part) * a, can
-    hold q; the log is solved by BSGS in its subgroup of order ord(q) and
-    taken mod ord(q), so k does not depend on the multiple.
+    part of <a> can hold q; the log is solved by BSGS in its subgroup of
+    order ord(q) and taken mod ord(q), so k does not depend on the multiple.
     """
     if q is None:
         return 0
     if a is None:
         return None
     if multiple is None:
-        multiple = _annihilator(cp, a)
+        multiple = _annihilator(p, A, a)
     if primes is None:
         primes = factorize(multiple).factors
-    cofactor = multiple
-    for ell in primes:
-        while cofactor % ell == 0:
-            cofactor //= ell
-    r = _mul(cp, cofactor, a)
-    r_order = _order_from_multiple(cp, r, multiple // cofactor, primes)
-    if _mul(cp, r_order, q) is not None:
+    cofactor, r, r_order = _primary_part(p, A, a, multiple, primes)
+    if _short_mul(p, A, r_order, q) is not None:
         return None
-    q_order = _order_from_multiple(cp, q, r_order, primes)
+    q_order = _order_from_multiple(p, A, q, r_order, primes)
     step = r_order // q_order
-    j = _bsgs(cp, _mul(cp, step, r), q, 0, q_order - 1)
+    j = _bsgs(p, A, _short_mul(p, A, step, r), q, 0, q_order - 1)
     return None if j is None else j * step * cofactor % (cofactor * r_order)
 
 
@@ -468,12 +476,17 @@ def in_cyclic_subgroup(
     hint is used; its full factorization gives ord(P). Q is a member
     exactly when ord(Q) divides ord(P) and Q lies in the subgroup of <P>
     of order ord(Q), generated by (ord(P)/ord(Q)) P, where a BSGS of size
-    about sqrt(ord Q) finds the log. The witness k satisfies k * P = Q
-    with 0 <= k < ord(P).
+    about sqrt(ord Q) finds the log; at p <= 3 the multiples of P are
+    walked. The witness k satisfies k * P = Q with 0 <= k < ord(P).
     """
     if q_point.curve != p_point.curve:
         raise ValueError("points reduced at different primes or curves")
-    k = _discrete_log(q_point.curve, p_point._tuple(), q_point._tuple(), group_order_hint)
+    cp, a, q = p_point.curve, p_point._tuple(), q_point._tuple()
+    if cp.p <= 3:
+        walk = _multiples(cp, a)
+        k = walk.index(q) if q in walk else None
+    else:
+        k = _discrete_log(*_to_short(cp, a, q), group_order_hint)
     return (False, None) if k is None else (True, k)
 
 
@@ -500,28 +513,38 @@ def sweep_primes(
     counts and concatenating lists.
     """
     curve = p_point.curve
-    # ord(Q mod p) divides the torsion order t at every good prime, so the
-    # primes of t are the only ones membership has to look at
+    # at good p >= 5 torsion injects into E(F_p) (AEC VII.3.1(b), IV.6.1), so
+    # ord(Q mod p) = t and the primes of t are the only ones membership needs
     t = torsion_order(q_point)
     torsion_primes = None if t is None else list(factorize(t).factors)
+    big_a = _short_model(curve)[0]
     p_triple, q_triple = _triple(p_point), _triple(q_point)
-    count = 0
+    p_short, q_short = _short_triple(curve, *p_triple), _short_triple(curve, *q_triple)
     members: list[int] = []
     skipped: list[int] = []
     for p in primes:
-        try:
-            cp = reduce_curve(curve, p)
-        except BadReductionError:
+        if curve.discriminant % p == 0:
             skipped.append(p)
             continue
-        pp, qp = _reduce_triple(*p_triple, p), _reduce_triple(*q_triple, p)
-        # ord(Q mod p) divides #E(F_p), so the annihilator steps by it
-        step = 1 if t is None else _order_from_multiple(cp, qp, t, torsion_primes)
-        multiple = _annihilator(cp, pp, step)
-        if _discrete_log(cp, pp, qp, multiple, torsion_primes) is not None:
-            count += 1
+        A = big_a % p       # the short model is used only for p >= 5
+        pp, qp = _reduce_triple(*p_short, p), _reduce_triple(*q_short, p)
+        if p <= 3:
+            member = (_reduce_triple(*q_triple, p) in
+                      _multiples(reduce_curve(curve, p), _reduce_triple(*p_triple, p)))
+        elif t is None:
+            member = _discrete_log(p, A, pp, qp, _annihilator(p, A, pp)) is not None
+        else:
+            # ord(Q) = t divides #E(F_p), so the annihilator steps by it; Q lies
+            # in <R> when <R> has the order-t subgroup <g> (at most 12 points
+            # by Mazur) and Q is one of its multiples
+            _, r, r_order = _primary_part(p, A, pp, _annihilator(p, A, pp, t), torsion_primes)
+            walk = g = None if r_order % t else _short_mul(p, A, r_order // t, r)
+            while walk != qp and walk is not None:
+                walk = _short_add(p, A, walk, g)
+            member = walk == qp
+        if member:
             members.append(p)
-    return count, members, skipped
+    return len(members), members, skipped
 
 
 def lang_trotter_sweep(

@@ -2,10 +2,11 @@
 
 Group arithmetic here goes through the completed-square model
 y'^2 = x^3 + (b2/4) x^2 + (b4/2) x + (b6/4) with y' = y + (a1 x + a3)/2,
-a deliberately different formula route from the library's general-model
-chord-tangent code, so agreement is a meaningful dual check. The mod p
-membership route at the end is the exception: it is the smallest-multiple
-BSGS that the library's ± search replaced, on modp's general addition.
+a deliberately different formula route from the library's chord-tangent
+code on the general and the short model, so agreement is a meaningful dual
+check. The mod p membership route at the end is the exception: it is the
+smallest-multiple BSGS that the library's ± search replaced, on modp's
+general addition, so it never passes through the short model.
 """
 
 import functools
@@ -318,10 +319,54 @@ def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
 # -- membership mod p by the smallest-multiple BSGS route ----------------------
 #
 # The library's annihilator returns some positive multiple of ord(a) from a
-# ± search stepped by ord(Q mod p). This route finds the smallest m in the
-# Hasse interval with m*a = O by a plain baby-step / giant-step search keyed
-# by whole points, and strips primes found by trial division. Its scalar
-# multiples go through modp._add, not the library's inlined steps.
+# ± search on the short model, stepped by ord(Q mod p). This route finds the
+# smallest m in the Hasse interval with m*a = O by a plain baby-step /
+# giant-step search keyed by whole points of the general model, and strips
+# primes found by trial division. Its scalar multiples go through modp._add.
+
+def sqrt_mod(a, p):
+    """Tonelli-Shanks square root mod an odd prime; None for non-residues."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, x, t, m = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p), s
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        x, t, c, m = x * b % p, t * b * b % p, b * b % p, i
+    return x
+
+
+def random_point(cp, rng):
+    """A random affine point of E mod an odd p, or None after 4p tries.
+
+    x is drawn first, then a root u of the completed square
+    u^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 with u = 2y + a1 x + a3.
+    """
+    p = cp.p
+    b2, b4, b6 = cp.a1 * cp.a1 + 4 * cp.a2, 2 * cp.a4 + cp.a1 * cp.a3, cp.a3 * cp.a3 + 4 * cp.a6
+    for _ in range(4 * p):
+        x = rng.randrange(p)
+        u = sqrt_mod(4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6, p)
+        if u is None:
+            continue
+        if rng.randrange(2):
+            u = (-u) % p
+        return x, (u - cp.a1 * x - cp.a3) * pow(2, -1, p) % p
+    return None
+
 
 def fp_mul(cp, k, a):
     """k*a by double-and-add over modp._add."""

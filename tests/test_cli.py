@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from elldiv import cli, denominators
+from elldiv import cli
 from elldiv.cli import FixtureParseError, parse_fixture
 from elldiv.suites import CheckResult
 
@@ -140,6 +140,8 @@ def test_badset_command(capsys, fixture_path):
     assert payload["primes"] == ["2", "5", "13"]
     assert payload["reasons"]["5"] == ["divides_discriminant"]
     assert payload["reasons"]["2"] == ["divides_two_times_order_of_Q"]
+    # 65 and den(x(Q)) = 1 factor by trial division, so no budget changes the set
+    assert run_cli(capsys, "badset", fixture_path(FIXTURE_65A), "--factor-budget", "0") == (0, out, "")
 
 
 def test_verify_command_passes(capsys, fixture_path):
@@ -194,6 +196,7 @@ def test_usage_errors_exit_1(capsys, fixture_path):
     ["seq", FIXTURE_65A, "--n", "0"],
     ["primdiv", FIXTURE_65A, "--n", "0"],
     ["primdiv", FIXTURE_65A, "--n", "3", "--factor-budget", "-1"],
+    ["badset", FIXTURE_65A, "--factor-budget", "-1"],
     ["ltcount", FIXTURE_65A, "--x", "-10"],
     ["ltcount", FIXTURE_65A, "--x", "1"],
     ["height", FIXTURE_37A, "--tol", "-1"],
@@ -225,13 +228,12 @@ def test_math_preconditions_exit_2(capsys, fixture_path):
     assert code == 2
 
 
-def test_badset_unfactorable_discriminant_exits_4(capsys, fixture_path, monkeypatch):
+def test_badset_unfactorable_discriminant_exits_4(capsys, fixture_path):
     # disc = -16 N^2 (4N + 27), N = 1000000000000037 * 10000000000000061; at
     # the default budget this takes seconds to fail, so run with no rho budget
     n = 1000000000000037 * 10000000000000061
     path = fixture_path(f"curve=[0,0,0,{n},{-n}]; P=[1,1]; Q=O")
-    monkeypatch.setattr(cli, "bad_set", lambda q: denominators.bad_set(q, rho_budget=0))
-    code, out, err = run_cli(capsys, "badset", path)
+    code, out, err = run_cli(capsys, "badset", path, "--factor-budget", "0")
     assert code == 4 and out == ""
     assert err.startswith("elldiv: ") and err.count("\n") == 1
     assert "discriminant" in err

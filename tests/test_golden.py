@@ -8,7 +8,10 @@ fully_factored flags that the n = 25 rows do not reach. The verify files were
 written again when the parity check became the square test on D_n, which
 changed only the parity.even_valuations detail; every other verify line,
 including the sequence checks that moved from factoring to gcds, is as first
-written.
+written. The modp.order_dual_route line was written again when that check
+came to compare only the primes where group_order does not enumerate. The
+ltcount file was written before the orbit sweep moved to the short
+Weierstrass model, and pins every member prime of 65a up to 10^5.
 """
 
 from pathlib import Path
@@ -42,5 +45,18 @@ def test_cli_output_matches_golden(capsys, monkeypatch, fixture, argv, stem, thr
         monkeypatch.setenv("ELLDIV_THREADS", threads)
     expected = next(GOLDEN.glob(f"{stem}-{fixture}.*")).read_bytes().decode("utf-8")
     code = cli.main([argv[0], str(ROOT / "fixtures" / f"{fixture}.fixture"), *argv[1:]])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "threads-2"])
+def test_ltcount_output_matches_golden(capsys, monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("ELLDIV_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ELLDIV_THREADS", threads)
+    expected = (GOLDEN / "ltcount-x100000-65a.json").read_bytes().decode("utf-8")
+    code = cli.main(["ltcount", str(ROOT / "fixtures" / "65a.fixture"),
+                     "--x", "100000", "--keep-primes"])
     assert code == 0
     assert capsys.readouterr().out == expected

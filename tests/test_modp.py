@@ -16,6 +16,7 @@ from _oracles import (
     discrete_log_reference,
     fp_mul,
     order_from_multiple_reference,
+    random_point,
     sweep_primes_reference,
     trial_division_primes,
 )
@@ -26,7 +27,11 @@ from elldiv.modp import (
     _annihilator,
     _discrete_log,
     _hasse_interval,
-    _random_affine,
+    _multiples,
+    _short_add,
+    _short_model,
+    _short_mul,
+    _to_short,
     group_order,
     group_order_by_enumeration,
     in_cyclic_subgroup,
@@ -367,11 +372,11 @@ def _random_membership_cases(count, seed):
             cp = reduce_curve(curve, p)
         except (SingularCurveError, BadReductionError):
             continue
-        if p <= 7:      # _random_affine needs p odd; count the points instead
+        if p <= 7:      # random_point needs p odd; count the points instead
             points = [(x, y) for x in range(p) for y in range(p) if FpPoint(cp, x, y).on_curve()]
             a, r = (rng.choice(points), rng.choice(points)) if points else (None, None)
         else:
-            a, r = _random_affine(cp, rng), _random_affine(cp, rng)
+            a, r = random_point(cp, rng), random_point(cp, rng)
         if a is None or r is None:
             continue
         r_order = order_from_multiple_reference(cp, r, annihilator_smallest(cp, r))
@@ -398,14 +403,18 @@ def test_annihilator_returns_a_positive_multiple_of_the_order(random_membership_
     small_orders = tiny_primes = 0
     for cp, a, q in random_membership_cases:
         order = order_from_multiple_reference(cp, a, annihilator_smallest(cp, a))
+        tiny_primes += cp.p <= 7
+        if cp.p <= 3:   # no short model: the order comes from walking the multiples
+            assert point_order(FpPoint(cp, *a)) == order
+            continue
         q_order = 1 if q is None else order_from_multiple_reference(cp, q, annihilator_smallest(cp, q))
         lo, hi = _hasse_interval(cp.p)
+        p, big_a, short_a = _to_short(cp, a)
         for step in (1, q_order):
-            m = _annihilator(cp, a, step)
+            m = _annihilator(p, big_a, short_a, step)
             assert m > 0 and m % order == 0, (cp, a, step, m)
             s = isqrt((hi - lo) // step) // 2 + 1
             small_orders += order <= 2 * s
-        tiny_primes += cp.p <= 7
     assert small_orders >= 500 and tiny_primes >= 300
 
 
@@ -417,11 +426,18 @@ def test_membership_matches_the_oracle_route(random_membership_cases):
         for hint in (None, multiple):
             k = discrete_log_reference(cp, a, q, hint)
             assert in_cyclic_subgroup(q_point, p_point, hint) == (k is not None, k)
-        # the sweep's route: annihilator stepped by T = ord(Q), primes of T only
-        q_order = 1 if q is None else order_from_multiple_reference(cp, q, annihilator_smallest(cp, q))
-        k = _discrete_log(cp, a, q, _annihilator(cp, a, q_order), trial_division_primes(q_order))
-        assert (k is not None) == (discrete_log_reference(cp, a, q) is not None)
-        members += k is not None
+        # the sweep's routes: the walk for p <= 3; above, the annihilator
+        # stepped by T = ord(Q) and the primes of T only
+        if cp.p <= 3:
+            member = q in _multiples(cp, a)
+        else:
+            q_order = 1 if q is None else order_from_multiple_reference(cp, q, annihilator_smallest(cp, q))
+            p, big_a, short_a, short_q = _to_short(cp, a, q)
+            multiple = _annihilator(p, big_a, short_a, q_order)
+            k = _discrete_log(p, big_a, short_a, short_q, multiple, trial_division_primes(q_order))
+            member = k is not None
+        assert member == (discrete_log_reference(cp, a, q) is not None)
+        members += member
     assert 300 <= members <= 1700
 
 
@@ -438,12 +454,11 @@ def test_order_finding_points_do_not_depend_on_the_hash_seed():
     code = (
         "import random\n"
         "from elldiv import WeierstrassCurve\n"
-        "from elldiv.modp import _random_affine, _seed, reduce_curve\n"
+        "from elldiv.modp import _seed, reduce_curve\n"
         "curve = WeierstrassCurve(1, 0, 0, -1, 0)\n"
         f"for p in {primes}:\n"
-        "    cp = reduce_curve(curve, p)\n"
-        "    rng = random.Random(_seed(cp))\n"
-        "    print(p, [_random_affine(cp, rng) for _ in range(4)])\n"
+        "    rng = random.Random(_seed(reduce_curve(curve, p)))\n"
+        "    print(p, [rng.randrange(p) for _ in range(4)])\n"
     )
     runs = [_fresh_python(code, PYTHONHASHSEED=seed) for seed in ("1", "2")]
     assert runs[0] == runs[1] and len(runs[0].splitlines()) == 3
@@ -476,3 +491,61 @@ def test_one_chunk_or_one_worker_starts_no_pool():
         "print(result.count, len(reports), sorted(loaded))\n"
     )
     assert _fresh_python(code) == "13 10 []\n"
+
+
+def test_short_model_map_is_an_isomorphism():
+    # random curves with a1 and a3 nonzero, at good primes 5 <= p <= 2*10^5
+    rng = random.Random(20261019)
+    pools = ((5, 7, 11, 13), primes_upto(1000)[2:], primes_upto(2 * 10 ** 5)[2:])
+    checked = 0
+    while checked < 300:
+        p = rng.choice(rng.choice(pools))
+        coeffs = [rng.randrange(1, p), rng.randrange(p), rng.randrange(1, p),
+                  rng.randrange(p), rng.randrange(p)]
+        try:
+            cp = reduce_curve(WeierstrassCurve(*coeffs), p)
+        except (SingularCurveError, BadReductionError):
+            continue
+        big_b = _short_model(cp)[1] % p
+        a, b = FpPoint(cp, *random_point(cp, rng)), FpPoint(cp, *random_point(cp, rng))
+        k = rng.randrange(1, 2 * p)
+        general = [a, b, a + b, a + a, -a, a - a, k * a]
+        _, big_a, *short = _to_short(cp, *(pt._tuple() for pt in general))
+        sa, sb, s_sum, s_double, s_neg, s_zero, s_multiple = short
+        for image in short:
+            assert image is None or (image[1] ** 2 - image[0] ** 3 - big_a * image[0] - big_b) % p == 0
+        assert s_sum == _short_add(p, big_a, sa, sb)
+        assert s_double == _short_add(p, big_a, sa, sa)
+        assert s_neg == (sa[0], -sa[1] % p) and s_zero is None
+        assert _short_add(p, big_a, sa, s_neg) is None
+        assert s_multiple == _short_mul(p, big_a, k, sa)
+        checked += 1
+
+
+def test_sweep_at_the_walk_boundary_matches_the_orbit_walk(oracle_case):
+    # p = 2 and 3 walk the multiples of P on the general model; 5 and 7 map
+    # to the short model. The order-3 and order-4 cases have t divisible by
+    # a good prime 3 resp. 2 here
+    p_point, q_point, bad = oracle_case
+    primes = [2, 3, 5, 7]
+    _, members, skipped = sweep_primes(p_point, q_point, primes)
+    assert skipped == [p for p in primes if p in bad]
+    expected = []
+    for p in primes:
+        if p not in bad:
+            cp = reduce_curve(p_point.curve, p)
+            p_reduced, q_reduced = reduce_point(p_point, cp), reduce_point(q_point, cp)
+            member = orbit_walk_member(cp, p_reduced, q_reduced)
+            assert in_cyclic_subgroup(q_reduced, p_reduced)[0] == member
+            expected += [p] if member else []
+    assert members == expected
+
+
+def test_group_order_matches_enumeration_above_the_mestre_bound():
+    # the twist of the short model decides #E at every good p in (229, 1500]
+    for name in sorted(CURVES):
+        curve = curve_points(name)[0].curve
+        for p in primes_upto(1500):
+            if p > MESTRE_BOUND and curve.discriminant % p:
+                cp = reduce_curve(curve, p)
+                assert group_order(cp) == group_order_by_enumeration(cp), (name, p)
