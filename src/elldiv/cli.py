@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_factor_budget(p):
         p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_RHO_BUDGET,
-                       help="Pollard-rho iteration budget per certificate")
+                       help="factoring work budget per factorization: Pollard-rho steps plus "
+                            "p-1 units, with p-1 only from 366864 up")
 
     p = add("primdiv", _cmd_primdiv, "emit primitive-divisor reports as CSV")
     p.add_argument("--n", type=_int_at_least(1), required=True, help="number of terms")

@@ -282,7 +282,11 @@ def _log2_ceil(q: Fraction) -> int:
 
 
 def height_pairing(r_point: Point, m_point: Point, tol: float = DEFAULT_TOLERANCE) -> float:
-    """Bilinear pairing h^(R+M) - h^(R) - h^(M); error accumulates to ~3*tol."""
+    """Bilinear pairing h^(R+M) - h^(R) - h^(M).
+
+    Its error is at most the sum of the ``error_bound`` values of the three
+    ``canonical_height`` estimates, each of which is at most tol.
+    """
     total = canonical_height(r_point + m_point, tol).value
     return total - canonical_height(r_point, tol).value - canonical_height(m_point, tol).value
 

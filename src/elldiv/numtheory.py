@@ -1,16 +1,21 @@
 """Elementary integer utilities: prime sieve, factorization, valuations.
 
 Factoring is best-effort by design: batch trial division by the primes
-below a fixed bound, then Pollard rho (Brent variant) under an iteration
-budget. The budget counts the rho steps multiplied into the gcd product;
-it is never exceeded, and rho makes at most twice the budget in squarings,
-backtracking aside. Whatever does not split within the budget is reported
-as an unfactored cofactor instead of raising, so callers can degrade
-gracefully.
+below a fixed bound, then Pollard p-1 and Pollard rho (Brent variant)
+under one work budget. The budget counts the rho steps multiplied into
+the gcd product plus the p-1 work (one unit per stage-1 exponent bit and
+per stage-2 prime, 91,716 for a full run); it is never exceeded. p-1 runs
+ahead of rho on a cofactor only while at least four full p-1 runs are left
+of the budget, so budgets below 366,864 run rho alone, and rho makes at
+most twice what it is given in squarings, backtracking aside. Whatever
+does not split within the budget is reported as an unfactored cofactor
+instead of raising, so callers can degrade gracefully.
 Every prime listed in a factorization passed ``is_prime``: a proof below
 3.317e24, the BPSW test above.
 """
 
+import bisect
+import functools
 import itertools
 import math
 from array import array
@@ -22,6 +27,16 @@ DEFAULT_RHO_BUDGET = 1 << 22
 # product of about 4,000 bits
 TRIAL_CHUNK = 200
 _SEGMENT_SIZE = 1 << 18
+# Pollard p-1: stage 1 to B1, stage 2 over the trial-division primes in
+# (B1, TRIAL_DIVISION_BOUND], D the stage-2 stride, one gcd per block of primes
+_PM1_B1 = 10 ** 4
+_PM1_STRIDE = 210
+_PM1_BLOCK = 1024
+# the work of a p-1 call that finds nothing: 14,447 bits of lcm(1..B1) plus
+# the 77,269 stage-2 primes. factorize runs p-1 only while the budget left
+# is at least _PM1_GATE, so a budget below 366,864 runs rho alone.
+_PM1_COST = 14_447 + 77_269
+_PM1_GATE = 4 * _PM1_COST
 
 # Strong tests to the 13 prime bases 2..41 decide primality for every
 # n < psi_13 = 3317044064679887385961981 (Sorenson & Webster, Math. Comp.
@@ -306,8 +321,64 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
     return None, spent
 
 
+@functools.cache
+def _pm1_exponent() -> int:
+    # lcm(1..B1) as the product of the largest power of each prime p <= B1
+    primes = _small_primes()
+    exponent = 1
+    for p in primes[: bisect.bisect_right(primes, _PM1_B1)]:
+        power = p
+        while power * p <= _PM1_B1:
+            power *= p
+        exponent *= power
+    return exponent
+
+
+def _pm1(n: int) -> tuple[int | None, int]:
+    """Pollard p-1 on odd n. Returns (nontrivial factor or None, work spent).
+
+    Catches a prime p | n when p - 1 divides lcm(1..B1) times at most one
+    prime q <= TRIAL_DIVISION_BOUND (Pollard, Proc. Cambridge Philos. Soc.
+    76, 1974). Stage 1 is x = 2^lcm(1..B1) mod n. Stage 2 writes each prime
+    q > B1 as q = mD - j with 0 < j < D and multiplies x^(mD) - x^j =
+    x^j (x^q - 1) into one product, so that a prime costs one modular
+    multiplication (Montgomery, Math. Comp. 48, 1987); its gcd with n is
+    taken after every _PM1_BLOCK primes. A gcd equal to n gives None.
+    ``spent`` counts one unit per bit of the stage-1 exponent and one per
+    stage-2 prime scanned, so it never exceeds _PM1_COST and equals it when
+    no factor is found.
+    """
+    exponent = _pm1_exponent()
+    spent = exponent.bit_length()
+    x = pow(2, exponent, n)
+    g = math.gcd(x - 1, n)
+    if g > 1:
+        return (g if g < n else None), spent
+    powers = [1]
+    for _ in range(_PM1_STRIDE):
+        powers.append(powers[-1] * x % n)
+    step = powers[_PM1_STRIDE]
+    primes = _small_primes()
+    first = bisect.bisect_right(primes, _PM1_B1)
+    top = (primes[first] // _PM1_STRIDE + 1) * _PM1_STRIDE
+    x_top = pow(x, top, n)
+    acc = 1
+    for start in range(first, len(primes), _PM1_BLOCK):
+        block = primes[start : start + _PM1_BLOCK]
+        for q in block:
+            while q > top:
+                top += _PM1_STRIDE
+                x_top = x_top * step % n
+            acc = acc * (x_top - powers[top - q]) % n
+        spent += len(block)
+        g = math.gcd(acc, n)
+        if g > 1:
+            return (g if g < n else None), spent
+    return None, spent
+
+
 def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
-    """Factor n >= 1: batch trial division to 10^6, then budgeted Pollard rho.
+    """Factor n >= 1: batch trial division to 10^6, then budgeted p-1 and rho.
 
     Trial division takes one gcd of n with the product of each chunk of
     TRIAL_CHUNK consecutive small primes and scans only the chunks that
@@ -316,10 +387,12 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     p*p > n, since what is left is then 1 or a prime. Primes are listed in
     the order found: the small ones ascending, then the rest.
 
-    ``rho_budget`` is shared by every rho call on the cofactors of n: each
-    call spends at most what is left (see ``_brent_rho``), so the total
-    never exceeds the budget, and rho does at most 2 * rho_budget
-    squarings, backtracking aside.
+    ``rho_budget`` is shared by every p-1 and rho call on the cofactors of
+    n. Each composite cofactor first gets ``_pm1`` if at least _PM1_GATE
+    (four full p-1 runs, 366,864) is left, and then, if p-1 did not split
+    it, ``_brent_rho`` with whatever is left. Each call spends at most what
+    is left, so the total never exceeds the budget, and rho does at most
+    2 * rho_budget squarings, backtracking aside.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -358,8 +431,13 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         if e > 1:
             pending.append((root, mult * e))
             continue
-        d, spent = _brent_rho(m, budget)
-        budget -= spent
+        d = None
+        if budget >= _PM1_GATE:
+            d, spent = _pm1(m)
+            budget -= spent
+        if d is None:
+            d, spent = _brent_rho(m, budget)
+            budget -= spent
         if d is None:
             result.unfactored_cofactor *= m ** mult
         else:

@@ -261,15 +261,64 @@ def brent_rho_reference(n, budget, cut_last_cycle=True):
     return None, spent, overran
 
 
+PM1_REFERENCE_B1 = 10 ** 4
+PM1_REFERENCE_BLOCK = 1024
+
+
+@functools.cache
+def _pm1_reference_exponent():
+    return math.lcm(*range(1, PM1_REFERENCE_B1 + 1))
+
+
+@functools.cache
+def _pm1_reference_stage2_primes():
+    return [q for q in _trial_primes() if q > PM1_REFERENCE_B1]
+
+
+def pm1_reference_cost():
+    """The work of a p-1 call that finds nothing: exponent bits plus stage-2 primes."""
+    return _pm1_reference_exponent().bit_length() + len(_pm1_reference_stage2_primes())
+
+
+def pm1_reference(n):
+    """Pollard p-1 with x^q computed by pow for each stage-2 prime: (factor or None, spent).
+
+    Stage 1 is x = 2^lcm(1..10^4) mod n; stage 2 multiplies x^q - 1 for
+    every prime q in (10^4, 10^6] into one product and takes its gcd with n
+    after every PM1_REFERENCE_BLOCK primes and after the last. The first
+    gcd above 1 ends the search, and a gcd equal to n gives None. ``spent``
+    is one unit per exponent bit and one per prime scanned.
+    """
+    exponent = _pm1_reference_exponent()
+    spent = exponent.bit_length()
+    x = pow(2, exponent, n)
+    g = gcd(x - 1, n)
+    if g > 1:
+        return (g if g < n else None), spent
+    stage2 = _pm1_reference_stage2_primes()
+    acc = 1
+    for start in range(0, len(stage2), PM1_REFERENCE_BLOCK):
+        block = stage2[start : start + PM1_REFERENCE_BLOCK]
+        for q in block:
+            acc = acc * (pow(x, q, n) - 1) % n
+        spent += len(block)
+        g = gcd(acc, n)
+        if g > 1:
+            return (g if g < n else None), spent
+    return None, spent
+
+
 def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
     """Reference factorization by the route batch trial division replaced.
 
     One n % p per prime below the trial bound, with a primality exit after
-    each prime found; then the same budgeted Brent rho (last cycle cut to the
-    budget, with |x - y| in the product) and a perfect-power test over every
-    exponent, not just primes. The library's factorize must return the same
-    factors in the same order and the same unfactored cofactor. Primality
-    and the sieve come from the library; both are tested on their own.
+    each prime found; then, while at least four times the full p-1 cost is
+    left of the budget, p-1 by ``pm1_reference``, and with the rest the same
+    budgeted Brent rho (last cycle cut to the budget, with |x - y| in the
+    product); and a perfect-power test over every exponent, not just
+    primes. The library's factorize must return the same factors in the
+    same order and the same unfactored cofactor. Primality and the sieve
+    come from the library; both are tested on their own.
     """
     result = Factorization()
     if n == 1:
@@ -305,7 +354,10 @@ def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
             pending.append((root, mult * e))
             continue
         d = None
-        if budget > 0:
+        if budget >= 4 * pm1_reference_cost():
+            d, spent = pm1_reference(m)
+            budget -= spent
+        if d is None and budget > 0:
             d, spent, _ = brent_rho_reference(m, budget)
             budget -= spent
         if d is None:

@@ -6,7 +6,8 @@ from array import array
 
 import pytest
 
-from _oracles import brent_rho_reference, factorize_by_prime_loop
+from _oracles import brent_rho_reference, factorize_by_prime_loop, pm1_reference
+from elldiv import numtheory
 from elldiv.denominators import denom_sequence, primitive_parts
 from elldiv.numtheory import (
     DEFAULT_RHO_BUDGET,
@@ -14,6 +15,7 @@ from elldiv.numtheory import (
     TRIAL_DIVISION_BOUND,
     Factorization,
     _brent_rho,
+    _pm1,
     _prime_runs,
     _small_primes,
     _strong_lucas_probable_prime,
@@ -178,6 +180,32 @@ def test_factorize_reconstructs_random_inputs():
         assert all(is_prime(p) for p in fac.factors)
 
 
+def _pm1_primes():
+    """Primes above the trial bound, keyed by what Pollard p-1 does with them.
+
+    p - 1 | lcm(1..10^4) for "stage1"; p = 2s + 1 with s a stage-2 prime for
+    "stage2", the two in one 1,024-prime gcd block; p = 2s + 1 with
+    s > 10^6, so that ord_p(2) has a prime factor p-1 never reaches, for
+    "miss".
+    """
+    stage1 = [p for p in (30030 * k + 1 for k in range(40, 200)) if is_prime(p)][:2]
+    stage2 = [2 * s + 1 for s in primes_upto(10 ** 6) if s > 6 * 10 ** 5 and is_prime(2 * s + 1)][:2]
+    miss = [2 * s + 1 for s in range(10 ** 6 + 1, 10 ** 6 + 400) if is_prime(s) and is_prime(2 * s + 1)][:2]
+    return {"stage1": stage1, "stage2": stage2, "miss": miss}
+
+
+def _pm1_semiprimes():
+    # (n, factor p-1 returns or None); "whole" products come back as n from a gcd
+    c = _pm1_primes()
+    return [
+        (c["stage1"][0] * c["miss"][0], c["stage1"][0]),
+        (c["stage2"][0] * c["miss"][0], c["stage2"][0]),
+        (c["stage1"][0] * c["stage1"][1], None),
+        (c["stage2"][0] * c["stage2"][1], None),
+        (c["miss"][0] * c["miss"][1], None),
+    ]
+
+
 def _factorization_inputs():
     primes = primes_upto(10 ** 6)
     last_start = (len(primes) - 1) // TRIAL_CHUNK * TRIAL_CHUNK
@@ -194,7 +222,8 @@ def _factorization_inputs():
         (10 ** 7 + 19) ** 3, (10 ** 6 + 3) ** 2 * (10 ** 7 + 19) ** 3,
         1000003 * 1000033, (10 ** 7 + 19) * (10 ** 7 + 79),
         3 * 1000003 * 1000033 * 999983,
-    ]
+        math.prod(c[0] for c in _pm1_primes().values()),
+    ] + [n for n, _ in _pm1_semiprimes()]
     rng = random.Random(615)
     return inputs + [rng.randrange(2, 10 ** 12) for _ in range(300)]
 
@@ -236,6 +265,65 @@ def test_brent_rho_stops_at_its_budget_and_matches_the_uncut_route():
                 assert got == (factor, spent), (n, budget)
                 compared += 1
     assert compared > 10 ** 4
+
+
+PM1_COST = 91_716   # 14,447 bits of lcm(1..10^4) and 77,269 primes in (10^4, 10^6]
+
+
+def test_pm1_splits_in_each_stage_and_matches_the_pow_route():
+    stage1, stage2_hit, stage1_whole, stage2_whole, miss = _pm1_semiprimes()
+    assert _pm1(stage1[0]) == (stage1[1], 14_447)
+    factor, spent = _pm1(stage2_hit[0])
+    assert factor == stage2_hit[1] and 14_447 < spent < PM1_COST
+    # both primes caught by one gcd: no split, whatever was scanned is spent
+    assert _pm1(stage1_whole[0]) == (None, 14_447)
+    assert _pm1(stage2_whole[0]) == (None, spent)
+    assert _pm1(miss[0]) == (None, PM1_COST)
+    rng = random.Random(1974)
+    odd_composites = [rng.randrange(10 ** 15, 10 ** 25) | 1 for _ in range(20)]
+    for n in [n for n, _ in _pm1_semiprimes()] + odd_composites:
+        got = _pm1(n)
+        assert got == pm1_reference(n), n
+        assert got[1] <= PM1_COST and (got[0] is None or 1 < got[0] < n and n % got[0] == 0)
+
+
+def test_factorize_runs_pm1_only_with_four_times_its_cost_left(monkeypatch):
+    def refuse(n):
+        raise AssertionError("p-1 called")
+
+    monkeypatch.setattr(numtheory, "_pm1", refuse)
+    n = _pm1_semiprimes()[-1][0]
+    assert factorize(n, 4 * PM1_COST - 1).value == n
+    with pytest.raises(AssertionError, match="p-1 called"):
+        factorize(n, 4 * PM1_COST)
+
+
+def test_factorize_never_spends_more_than_its_budget(monkeypatch):
+    spent = []
+
+    def charged(method):
+        def run(*args):
+            d, cost = method(*args)
+            spent.append(cost)
+            return d, cost
+        return run
+
+    monkeypatch.setattr(numtheory, "_pm1", charged(_pm1))
+    monkeypatch.setattr(numtheory, "_brent_rho", charged(_brent_rho))
+    c = _pm1_primes()
+    # p-1 runs on each cofactor while the gate allows, and rho gets the rest;
+    # two safe primes 2s + 1 with s = 2^55 + 1515 and 2^55 + 1785: p-1 misses
+    # both and rho runs to the end of every budget here
+    hard = 72057594037930967 * 72057594037931507
+    inputs = [math.prod(c["stage1"] + c["stage2"] + c["miss"]), hard * c["miss"][0] * c["stage2"][1]]
+    for budget in (4 * PM1_COST - 1, 4 * PM1_COST, 4 * PM1_COST + 1000, 5 * PM1_COST, 8 * PM1_COST):
+        for n in inputs:
+            spent.clear()
+            fac = factorize(n, budget)
+            assert fac.value == n
+            assert sum(spent) <= budget, (n, budget)
+            if not fac.is_complete:
+                assert sum(spent) == budget, (n, budget)
 
 
 def test_divisor_count_bound_and_divisor_sum_bound():
