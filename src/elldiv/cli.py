@@ -42,7 +42,7 @@ from .denominators import (
 )
 from .heights import NonConvergenceError, canonical_height
 from .modp import lang_trotter_sweep
-from .numtheory import DEFAULT_RHO_BUDGET
+from .numtheory import DEFAULT_FACTOR_BUDGET
 from .rational_ec import (
     Point,
     PointNotOnCurveError,
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True, help="number of terms")
 
     def add_factor_budget(p):
-        p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_RHO_BUDGET,
+        p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_FACTOR_BUDGET,
                        help="factoring work budget per factorization: Pollard-rho steps plus "
                             "p-1 units, with p-1 only from 366864 up")
 

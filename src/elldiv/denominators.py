@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .heights import log_int
-from .numtheory import DEFAULT_RHO_BUDGET, Factorization, _pool_map, factorize
+from .numtheory import DEFAULT_FACTOR_BUDGET, Factorization, _pool_map, factorize
 from .rational_ec import Point, require_infinite_order, torsion_order
 
 REASON_BAD_REDUCTION = "divides_discriminant"
@@ -116,7 +116,7 @@ def denom_sequence(p_point: Point, q_point: Point, count: int) -> Iterator[Denom
     return walk()
 
 
-def bad_set(q_point: Point, rho_budget: int = DEFAULT_RHO_BUDGET) -> BadPrimeSet:
+def bad_set(q_point: Point, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> BadPrimeSet:
     """Primes dividing the discriminant, dividing 2*ord(Q), or where Q drops to O.
 
     Q must have finite order. The third class is, over Q, the primes dividing
@@ -130,17 +130,17 @@ def bad_set(q_point: Point, rho_budget: int = DEFAULT_RHO_BUDGET) -> BadPrimeSet
 
     reasons: dict[int, list[str]] = {}
 
-    disc_fac = factorize(abs(q_point.curve.discriminant), rho_budget)
+    disc_fac = factorize(abs(q_point.curve.discriminant), factor_budget)
     if not disc_fac.is_complete:
         raise IncompleteFactorizationError("could not fully factor the discriminant within budget")
     for p in disc_fac.factors:
         reasons.setdefault(p, []).append(REASON_BAD_REDUCTION)
 
-    for p in factorize(2 * order, rho_budget).factors:
+    for p in factorize(2 * order, factor_budget).factors:
         reasons.setdefault(p, []).append(REASON_TORSION)
 
     if not q_point.is_identity and q_point.x.denominator > 1:
-        den_fac = factorize(q_point.x.denominator, rho_budget)
+        den_fac = factorize(q_point.x.denominator, factor_budget)
         if not den_fac.is_complete:
             raise IncompleteFactorizationError("could not fully factor den(x(Q)) within budget")
         for p in den_fac.factors:
@@ -186,7 +186,7 @@ def primitive_parts(terms: Iterable[DenomTerm]) -> Iterator[tuple[DenomTerm, int
 def primitive_report(
     term: DenomTerm,
     part: int,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
+    factor_budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> PrimitiveDivisorReport:
     """Primitive-divisor certificate for a term and its primitive part.
 
@@ -194,7 +194,7 @@ def primitive_report(
     prime factor of the primitive part found within the budget; if nothing
     splits, the part itself still witnesses that primitive divisors exist.
     """
-    return _report(term, part, Factorization() if part == 1 else factorize(part, rho_budget))
+    return _report(term, part, Factorization() if part == 1 else factorize(part, factor_budget))
 
 
 def _report(term: DenomTerm, part: int, fac: Factorization) -> PrimitiveDivisorReport:
@@ -202,7 +202,7 @@ def _report(term: DenomTerm, part: int, fac: Factorization) -> PrimitiveDivisorR
     return PrimitiveDivisorReport(term.n, part, part > 1, certificate, fac.is_complete)
 
 
-def primitive_reports(terms: Iterable[DenomTerm], rho_budget: int = DEFAULT_RHO_BUDGET,
+def primitive_reports(terms: Iterable[DenomTerm], factor_budget: int = DEFAULT_FACTOR_BUDGET,
                       workers: int = 1) -> list[tuple[DenomTerm, PrimitiveDivisorReport]]:
     """Each term paired with its ``primitive_report``; terms as for ``primitive_parts``.
 
@@ -217,11 +217,13 @@ def primitive_reports(terms: Iterable[DenomTerm], rho_budget: int = DEFAULT_RHO_
     pairs = list(primitive_parts(terms))
     # parts above 1 are pairwise coprime, so they are distinct keys
     parts = sorted((part for _, part in pairs if part > 1), reverse=True)
-    facs = dict(zip(parts, _pool_map(functools.partial(factorize, rho_budget=rho_budget), parts, workers)))
+    factor = functools.partial(factorize, factor_budget=factor_budget)
+    facs = dict(zip(parts, _pool_map(factor, parts, workers)))
     return [(term, _report(term, part, facs.get(part, Factorization()))) for term, part in pairs]
 
 
-def omega_product(terms: Iterable[DenomTerm], rho_budget: int = DEFAULT_RHO_BUDGET) -> DistinctPrimeCount:
+def omega_product(terms: Iterable[DenomTerm],
+                  factor_budget: int = DEFAULT_FACTOR_BUDGET) -> DistinctPrimeCount:
     """Distinct primes dividing D_1 * ... * D_N, counted over the primitive parts.
 
     The primitive parts are pairwise coprime and together carry exactly the
@@ -234,7 +236,7 @@ def omega_product(terms: Iterable[DenomTerm], rho_budget: int = DEFAULT_RHO_BUDG
     count = 0
     exact = True
     for _, part in primitive_parts(terms):
-        fac = factorize(part, rho_budget)
+        fac = factorize(part, factor_budget)
         count += len(fac.factors)
         if not fac.is_complete:
             count += 1

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 
 TRIAL_DIVISION_BOUND = 10 ** 6
-DEFAULT_RHO_BUDGET = 1 << 22
+DEFAULT_FACTOR_BUDGET = 1 << 22
 # primes per gcd in batch trial division; 200 primes near 10^6 make a
 # product of about 4,000 bits
 TRIAL_CHUNK = 200
@@ -377,7 +377,7 @@ def _pm1(n: int) -> tuple[int | None, int]:
     return None, spent
 
 
-def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
+def factorize(n: int, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Factor n >= 1: batch trial division to 10^6, then budgeted p-1 and rho.
 
     Trial division takes one gcd of n with the product of each chunk of
@@ -387,12 +387,12 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     p*p > n, since what is left is then 1 or a prime. Primes are listed in
     the order found: the small ones ascending, then the rest.
 
-    ``rho_budget`` is shared by every p-1 and rho call on the cofactors of
+    ``factor_budget`` is shared by every p-1 and rho call on the cofactors of
     n. Each composite cofactor first gets ``_pm1`` if at least _PM1_GATE
     (four full p-1 runs, 366,864) is left, and then, if p-1 did not split
     it, ``_brent_rho`` with whatever is left. Each call spends at most what
     is left, so the total never exceeds the budget, and rho does at most
-    2 * rho_budget squarings, backtracking aside.
+    2 * factor_budget squarings, backtracking aside.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -419,7 +419,7 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
 
     # n is now 1, a prime, or free of primes below the trial bound
     pending = [(n, 1)]
-    budget = rho_budget
+    budget = factor_budget
     while pending:
         m, mult = pending.pop()
         if m == 1:

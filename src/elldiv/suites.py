@@ -12,8 +12,10 @@ prime. ``parity.even_valuations``: on an integral model every affine
 rational point has x = a/d^2, so each D_n is a perfect square.
 ``sequence.formal_group_valuations``: v_p(B_mk) = v_p(B_m) + 2 v_p(k) for
 the untranslated denominators B_n and every odd p | B_m not dividing the
-discriminant, checked by gcds. Only ``heights`` factors, to find the
-finite places of its local-height checks.
+discriminant, checked by gcds. No suite factors a term: the finite places
+of the ``heights`` checks are the primes below PLACE_BOUND that divide
+some D_1 ... D_20, so that each has a nonzero local height in the window
+that ``siegel_trend`` compares the later terms against.
 """
 
 import functools
@@ -24,8 +26,10 @@ from math import gcd, isqrt
 from . import denominators as dn
 from . import heights as ht
 from . import modp
-from .numtheory import factorize, primes_upto, valuation
+from .numtheory import primes_upto
 from .rational_ec import Point, torsion_order
+
+PLACE_BOUND = 10 ** 4   # the heights suite's finite places are primes below this
 
 
 @dataclass(frozen=True)
@@ -66,52 +70,45 @@ def suite_group(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     return results
 
 
-def suite_heights(p_point: Point, q_point: Point, stream, tol: float = 1e-4) -> list[CheckResult]:
+def suite_heights(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     results = []
     # the stream rejects a torsion P, whose height of 0 would divide by zero below
     terms = stream()
-    base = ht.canonical_height(p_point, tol)
+    base = ht.canonical_height(p_point)
 
     # the deviation itself is float round-off, so report it as a share of the
     # proven bound: that figure does not depend on the platform's last bits
-    worst = 0.0
-    for n in range(2, 6):
-        est = ht.canonical_height(n * p_point, tol)
-        bound = est.error_bound + n * n * base.error_bound
-        worst = max(worst, abs(est.value - n * n * base.value) / bound)
+    multiples = {n: ht.canonical_height(n * p_point) for n in range(2, 6)}
+    worst = max(abs(est.value - n * n * base.value) / (est.error_bound + n * n * base.error_bound)
+                for n, est in multiples.items())
     _check(results, "quadraticity", worst <= 1.0, f"max deviation {worst:.2f} of the error bound")
 
-    pair_self = ht.height_pairing(p_point, p_point, tol)
-    _check(results, "pairing_self", abs(pair_self - 2 * base.value) <= 8 * tol,
-           f"<P,P>={pair_self:.6f}")
+    # proven bounds of the heights used, plus an ulp per operand for the float subtractions
+    double = multiples[2]
+    pair_self = double.value - base.value - base.value
+    bound = double.error_bound + 4 * base.error_bound + math.ulp(double.value) + 4 * math.ulp(base.value)
+    _check(results, "pairing_self", abs(pair_self - 2 * base.value) <= bound, f"<P,P>={pair_self:.6f}")
     if torsion_order(q_point) is not None:
-        pair_q = ht.height_pairing(p_point, q_point, tol)
-        _check(results, "pairing_torsion_kernel", abs(pair_q) <= 6 * tol, f"<P,Q>={pair_q:.2e}")
+        ests = [ht.canonical_height(p_point + q_point), base, ht.canonical_height(q_point)]
+        pair_q = ests[0].value - ests[1].value - ests[2].value
+        bound = sum(e.error_bound + math.ulp(e.value) for e in ests)
+        _check(results, "pairing_torsion_kernel", abs(pair_q) <= bound, f"<P,Q>={pair_q:.2e}")
 
-    # every prime of D_n divides a primitive part P_k with k <= n, so the primes
-    # of the first 20 parts factor D_1..D_12 unless one of those parts did not split
-    support = sorted({p for _, part in dn.primitive_parts(terms[:20]) for p in factorize(part).factors})
+    head = math.prod(t.denominator for t in terms[:20])
+    places = [p for p in primes_upto(PLACE_BOUND) if head % p == 0]
+    # each exponent must be v_p exactly, or the cofactor's log would absorb its error
     ok = True
     for term in terms[:12]:
-        rest, finite = term.denominator, 0.0
-        for p in support:
-            if rest % p == 0:
-                e = valuation(rest, p)
-                rest //= p ** e
-                finite += e * math.log(p)
-        if rest != 1:
-            continue
-        total = finite + ht.archimedean_local_height(term.point)
-        ok = ok and abs(total - ht.naive_height(term.point)) < 1e-9
+        powers = [(p, ht.local_height_exponent(term.point, p)) for p in places]
+        rest, r = divmod(term.denominator, math.prod(p ** e for p, e in powers))
+        local = sum(e * math.log(p) for p, e in powers) + ht.archimedean_local_height(term.point)
+        ok = ok and r == 0 and all(rest % p for p in places)
+        ok = ok and abs(local + ht.log_int(rest) - ht.naive_height(term.point)) < 1e-9
     _check(results, "local_decomposition", ok)
 
-    trend_ok = True
-    for p in support:
-        ratios = [ht.siegel_ratio(t.point, p) for t in terms]
-        trend_ok = trend_ok and max(ratios[20:]) <= max(ratios[:20])
-    arch = [ht.siegel_ratio(t.point, ht.ARCHIMEDEAN) for t in terms]
-    trend_ok = trend_ok and max(arch[20:]) <= max(arch[:20])
-    _check(results, "siegel_trend", trend_ok, f"{len(support)} finite places")
+    ratios = ([ht.siegel_ratio(t.point, place) for t in terms] for place in [*places, ht.ARCHIMEDEAN])
+    _check(results, "siegel_trend", all(max(r[20:]) <= max(r[:20]) for r in ratios),
+           f"{len(places)} finite places")
 
     worst, multiple = 0.0, p_point.curve.identity()
     for n in range(1, 31):

@@ -16,7 +16,7 @@ from math import gcd
 
 from elldiv import modp
 from elldiv.numtheory import (
-    DEFAULT_RHO_BUDGET,
+    DEFAULT_FACTOR_BUDGET,
     TRIAL_DIVISION_BOUND,
     Factorization,
     is_prime,
@@ -308,7 +308,7 @@ def pm1_reference(n):
     return None, spent
 
 
-def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
+def factorize_by_prime_loop(n, factor_budget=DEFAULT_FACTOR_BUDGET):
     """Reference factorization by the route batch trial division replaced.
 
     One n % p per prime below the trial bound, with a primality exit after
@@ -341,7 +341,7 @@ def factorize_by_prime_loop(n, rho_budget=DEFAULT_RHO_BUDGET):
                 result.factors[n] = 1
                 return result
     pending = [(n, 1)]
-    budget = rho_budget
+    budget = factor_budget
     while pending:
         m, mult = pending.pop()
         if m == 1:

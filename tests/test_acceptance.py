@@ -228,7 +228,7 @@ def test_criterion_7_growth_of_orbit_counts(p65, q65, sweep_1e5):
 
 def test_criterion_8_omega_lower_bound(p65, q65):
     terms = list(denom_sequence(p65, q65, 40))
-    omega = omega_product(terms, rho_budget=1 << 16)
+    omega = omega_product(terms, factor_budget=1 << 16)
     bad = bad_set(q65)
     bound = 40 - len(EXCEPTION_LIST_65A) - len(bad.primes)
     ok = omega.count >= bound

@@ -138,7 +138,7 @@ def test_bad_set_raises_when_the_discriminant_does_not_factor():
     n = 1000000000000037 * 10000000000000061
     curve = WeierstrassCurve(0, 0, 0, n, -n)
     with pytest.raises(IncompleteFactorizationError) as info:
-        bad_set(curve.identity(), rho_budget=0)
+        bad_set(curve.identity(), factor_budget=0)
     assert isinstance(info.value, RuntimeError)
     assert "discriminant" in str(info.value)
 
@@ -195,7 +195,7 @@ def test_primitive_report_degrades_without_budget(p65, q65):
     # part_18 is the square of a composite with no factor below the trial
     # bound, so with no rho budget nothing splits; the report still
     # certifies that a primitive divisor exists.
-    report = primitive_report(term, part, rho_budget=0)
+    report = primitive_report(term, part, factor_budget=0)
     assert report.has_primitive
     assert report.certificate_prime is None
     assert not report.fully_factored
@@ -260,7 +260,7 @@ def test_omega_product_matches_trial_division_on_37a(e37, p37):
 def test_omega_lower_bound_under_budget(p65, q65):
     terms = list(denom_sequence(p65, q65, 20))
     exact = omega_product(terms)
-    capped = omega_product(terms, rho_budget=0)
+    capped = omega_product(terms, factor_budget=0)
     assert exact.is_exact and exact.count == 34
     assert not capped.is_exact
     assert capped.count <= exact.count

@@ -10,7 +10,10 @@ changed only the parity.even_valuations detail; every other verify line,
 including the sequence checks that moved from factoring to gcds, is as first
 written. The modp.order_dual_route line was written again when that check
 came to compare only the primes where group_order does not enumerate. The
-ltcount file was written before the orbit sweep moved to the short
+65a heights.siegel_trend line was written again (34 -> 14 finite places)
+when the heights suite stopped factoring primitive parts: its places are
+now the primes below 10^4 that divide some D_1 ... D_20, and 37a happens to
+keep the same 17. The ltcount file was written before the orbit sweep moved to the short
 Weierstrass model, and pins every member prime of 65a up to 10^5.
 """
 

@@ -10,7 +10,7 @@ from _oracles import brent_rho_reference, factorize_by_prime_loop, pm1_reference
 from elldiv import numtheory
 from elldiv.denominators import denom_sequence, primitive_parts
 from elldiv.numtheory import (
-    DEFAULT_RHO_BUDGET,
+    DEFAULT_FACTOR_BUDGET,
     TRIAL_CHUNK,
     TRIAL_DIVISION_BOUND,
     Factorization,
@@ -164,7 +164,7 @@ def test_factorize_prime_square_beyond_trial_bound():
 def test_factorize_budget_exhaustion_is_flagged():
     # product of two primes above the trial bound, no rho budget at all
     a, b = 10 ** 7 + 19, 10 ** 7 + 79
-    fac = factorize(a * b, rho_budget=0)
+    fac = factorize(a * b, factor_budget=0)
     assert not fac.is_complete
     assert fac.unfactored_cofactor == a * b
     assert fac.value == a * b
@@ -234,7 +234,7 @@ def _same_factorization(n, budget):
     assert got.unfactored_cofactor == want.unfactored_cofactor, (n, budget)
 
 
-@pytest.mark.parametrize("budget", [0, 1 << 10, DEFAULT_RHO_BUDGET])
+@pytest.mark.parametrize("budget", [0, 1 << 10, DEFAULT_FACTOR_BUDGET])
 def test_factorize_matches_prime_loop_oracle(budget):
     for n in _factorization_inputs():
         _same_factorization(n, budget)

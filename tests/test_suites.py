@@ -5,10 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from elldiv import denominators, numtheory, suites
+from elldiv import denominators, heights, numtheory, suites
 from elldiv.cli import load_fixture
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# the shipped fixtures; the search-* curves took 20-40 s in `verify` while
+# the heights suite factored primitive parts to find its places
+ALL_FIXTURES = ["37a", "65a", "search-a", "search-b", "search-c"]
 
 # (fixture, m, k, p): p is a good odd prime of the untranslated B_m, mk <= 40
 FORMAL_GROUP_CORRUPTIONS = [("37a", 7, 3, 3), ("65a", 3, 3, 3)]
@@ -56,15 +60,36 @@ def test_formal_group_check_rejects_a_wrong_valuation(monkeypatch, name, m, k, p
 
 
 @pytest.mark.parametrize("name", ["37a", "65a"])
-@pytest.mark.parametrize("suite", ["parity", "sequence"])
+@pytest.mark.parametrize("suite", ["parity", "sequence", "heights"])
 def test_theorem_suites_factor_nothing(monkeypatch, name, suite):
     def refuse(*_args, **_kwargs):
         raise AssertionError("factorize called")
 
-    for module in (numtheory, denominators, suites):
+    assert not hasattr(suites, "factorize")
+    for module in (numtheory, denominators):
         monkeypatch.setattr(module, "factorize", refuse)
     results = suites.run_suite(suite, *points(name))
     assert results and all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_verify_does_no_rho_or_pm1_work(monkeypatch, name):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("rho or p-1 called")
+
+    monkeypatch.setattr(numtheory, "_brent_rho", refuse)
+    monkeypatch.setattr(numtheory, "_pm1", refuse)
+    results = suites.run_suite("all", *points(name))
+    assert len(results) >= 24 and all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_local_decomposition_catches_a_wrong_exponent(monkeypatch, shift):
+    # 2 is a place of 65a (D_2 = 4); the cofactor's log must not absorb the error
+    real = heights.local_height_exponent
+    monkeypatch.setattr(heights, "local_height_exponent",
+                        lambda point, p: max(real(point, p) + shift * (p == 2), 0))
+    assert not outcomes(suites.run_suite("heights", *points("65a")))["heights.local_decomposition"]
 
 
 @pytest.mark.parametrize("suite,builds", [("group", 0), ("modp", 0), ("heights", 1),
