@@ -8,21 +8,22 @@ p = 2 and 3 there is no short model and #E(F_p) <= 7, so orders and logs
 come from walking the multiples of P on the general model, which also
 serves FpPoint arithmetic.
 
-Membership of Q mod p in <P mod p> costs one order computation per prime.
-A ± baby-step / giant-step search over the Hasse interval (Shanks; Cohen,
-GTM 138, ch. 7) finds some positive multiple M of ord(P), or a supplied
-group order serves. Let S be a set of primes containing every prime of
-ord(Q) and M_S the S-part of M. Then Q lies in <P> exactly when it lies
-in the S-primary part of <P>, the cyclic group generated by
-R = (M / M_S) P. Its order is found by stripping only the primes in S,
-and the discrete log is solved by BSGS in the subgroup of <R> of order
-ord(Q), as in Pohlig-Hellman. This is correct even when E(F_p) itself is
-not cyclic. When Q is torsion of order t over Q, torsion injects into
-E(F_p) at good p >= 5 (AEC VII.3.1(b), IV.6.1), so ord(Q mod p) = t. The
-orbit sweep then takes S from t once per call and factors nothing per
-prime, its search for M steps by t, which divides #E(F_p) (Lagrange),
-and membership is a walk over the at most 12 multiples (Mazur) of the
-order-t subgroup of <R>. Otherwise S is the set of primes of M.
+At p >= 5 every point order and discrete log takes its multiple M of
+ord(P) from one place, a ± baby-step / giant-step search over the Hasse
+interval (Shanks; Cohen, GTM 138, ch. 7), and stripping the primes of M
+gives ord(P). Q mod p lies in <P mod p> exactly when ord(P) Q = O and Q
+lies in the subgroup of <P> of order ord(Q), found from the same primes,
+where a BSGS solves the log, as in Pohlig-Hellman. This is correct even
+when E(F_p) itself is not cyclic.
+
+The orbit sweep alone takes another route when Q is torsion of order t
+over Q. Torsion injects into E(F_p) at good p >= 5 (AEC VII.3.1(b),
+IV.6.1), so ord(Q mod p) = t, and the sweep factors nothing per prime: its
+search for M steps by t, which divides #E(F_p) (Lagrange). With S the
+primes of t and M_S the S-part of M, Q lies in <P> exactly when it lies in
+the S-primary part of <P>, generated by R = (M / M_S) P, and membership is
+a walk over the at most 12 multiples (Mazur) of the order-t subgroup of
+<R>. A Q of infinite order takes the route above.
 
 Group orders come from exhaustive counting for p <= 229. Above that
 they come from BSGS orders of random points on E and on its quadratic
@@ -359,11 +360,13 @@ def _annihilator(p, A, a, step=1) -> int:
     return step * m
 
 
-def _order_from_multiple(p, A, a, multiple: int, primes=None) -> int:
+def _order_from_multiple(p, A, a, multiple=None, primes=None) -> int:
     """ord(a) from a multiple of it whose primes dividing ord(a) are all in primes.
 
-    primes defaults to every prime of the multiple.
+    multiple defaults to the annihilator's, primes to every prime of the multiple.
     """
+    if multiple is None:
+        multiple = _annihilator(p, A, a)
     if primes is None:
         primes = factorize(multiple).factors
     order = multiple
@@ -404,7 +407,7 @@ def group_order(cp: FpCurve) -> int:
         if f:
             a, pt = A * f * f % p, (x * f % p, f * f % p)
             twist = pow(f, (p - 1) // 2, p) != 1
-            lcms[twist] = lcm(lcms[twist], _order_from_multiple(p, a, pt, _annihilator(p, a, pt)))
+            lcms[twist] = lcm(lcms[twist], _order_from_multiple(p, a, pt))
             order = _hasse_candidate(p, *lcms)
             if order is not None:
                 return order
@@ -412,8 +415,8 @@ def group_order(cp: FpCurve) -> int:
                        f"{2 * BSGS_SAMPLE_LIMIT} random points on E and its twist")
 
 
-def point_order(point: FpPoint, group_order_hint: int | None = None) -> int:
-    """Exact order: strip primes from the group order (or a supplied multiple).
+def point_order(point: FpPoint) -> int:
+    """Exact order: strip the primes of the annihilator's multiple of it.
 
     At p <= 3 the order comes from walking the multiples of the point.
     """
@@ -422,8 +425,7 @@ def point_order(point: FpPoint, group_order_hint: int | None = None) -> int:
         return 1
     if cp.p <= 3:
         return len(_multiples(cp, point._tuple()))
-    multiple = group_order_hint if group_order_hint is not None else group_order(cp)
-    return _order_from_multiple(*_to_short(cp, point._tuple()), multiple)
+    return _order_from_multiple(*_to_short(cp, point._tuple()))
 
 
 def _primary_part(p, A, a, multiple, primes):
@@ -439,45 +441,37 @@ def _primary_part(p, A, a, multiple, primes):
     return cofactor, r, _order_from_multiple(p, A, r, multiple // cofactor, primes)
 
 
-def _discrete_log(p, A, a, q, multiple=None, primes=None) -> int | None:
-    """k with k*a = q, or None when q is not in <a>.
+def _discrete_log(p, A, a, q) -> int | None:
+    """k with k*a = q and 0 <= k < ord(a), or None when q is not in <a>.
 
-    multiple is a multiple of ord(a), found by the annihilator search when
-    omitted. primes must contain every prime of ord(q); it defaults to the
-    primes of multiple, and then 0 <= k < ord(a). Only the primes-primary
-    part of <a> can hold q; the log is solved by BSGS in its subgroup of
-    order ord(q) and taken mod ord(q), so k does not depend on the multiple.
+    ord(a) comes from the annihilator's multiple, factored once; q is in
+    <a> only if ord(a)*q = O, and then ord(q), from the same primes, gives
+    the subgroup of <a> of that order, where BSGS solves the log.
     """
     if q is None:
         return 0
     if a is None:
         return None
-    if multiple is None:
-        multiple = _annihilator(p, A, a)
-    if primes is None:
-        primes = factorize(multiple).factors
-    cofactor, r, r_order = _primary_part(p, A, a, multiple, primes)
-    if _short_mul(p, A, r_order, q) is not None:
+    multiple = _annihilator(p, A, a)
+    primes = factorize(multiple).factors
+    order = _order_from_multiple(p, A, a, multiple, primes)
+    if _short_mul(p, A, order, q) is not None:
         return None
-    q_order = _order_from_multiple(p, A, q, r_order, primes)
-    step = r_order // q_order
-    j = _bsgs(p, A, _short_mul(p, A, step, r), q, 0, q_order - 1)
-    return None if j is None else j * step * cofactor % (cofactor * r_order)
+    q_order = _order_from_multiple(p, A, q, order, primes)
+    step = order // q_order
+    j = _bsgs(p, A, _short_mul(p, A, step, a), q, 0, q_order - 1)
+    return None if j is None else j * step % order
 
 
-def in_cyclic_subgroup(
-    q_point: FpPoint,
-    p_point: FpPoint,
-    group_order_hint: int | None = None,
-) -> tuple[bool, int | None]:
+def in_cyclic_subgroup(q_point: FpPoint, p_point: FpPoint) -> tuple[bool, int | None]:
     """Whether Q mod p lies in <P mod p>, with a discrete-log witness.
 
-    One annihilator search gives a multiple of ord(P), or the group order
-    hint is used; its full factorization gives ord(P). Q is a member
-    exactly when ord(Q) divides ord(P) and Q lies in the subgroup of <P>
-    of order ord(Q), generated by (ord(P)/ord(Q)) P, where a BSGS of size
-    about sqrt(ord Q) finds the log; at p <= 3 the multiples of P are
-    walked. The witness k satisfies k * P = Q with 0 <= k < ord(P).
+    One annihilator search gives a multiple of ord(P), and its full
+    factorization gives ord(P). Q is a member exactly when ord(Q) divides
+    ord(P) and Q lies in the subgroup of <P> of order ord(Q), generated by
+    (ord(P)/ord(Q)) P, where a BSGS of size about sqrt(ord Q) finds the
+    log; at p <= 3 the multiples of P are walked. The witness k satisfies
+    k * P = Q with 0 <= k < ord(P).
     """
     if q_point.curve != p_point.curve:
         raise ValueError("points reduced at different primes or curves")
@@ -486,7 +480,7 @@ def in_cyclic_subgroup(
         walk = _multiples(cp, a)
         k = walk.index(q) if q in walk else None
     else:
-        k = _discrete_log(*_to_short(cp, a, q), group_order_hint)
+        k = _discrete_log(*_to_short(cp, a, q))
     return (False, None) if k is None else (True, k)
 
 
@@ -532,7 +526,7 @@ def sweep_primes(
             member = (_reduce_triple(*q_triple, p) in
                       _multiples(reduce_curve(curve, p), _reduce_triple(*p_triple, p)))
         elif t is None:
-            member = _discrete_log(p, A, pp, qp, _annihilator(p, A, pp)) is not None
+            member = _discrete_log(p, A, pp, qp) is not None
         else:
             # ord(Q) = t divides #E(F_p), so the annihilator steps by it; Q lies
             # in <R> when <R> has the order-t subgroup <g> (at most 12 points

@@ -67,7 +67,10 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < _MR_PROVEN_BELOW:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    # a square fails the Lucas test anyway; isqrt rejects it at a fraction of
+    # the base-2 test's cost, and every primitive part is a square
+    return (math.isqrt(n) ** 2 != n and _strong_probable_prime(n, 2)
+            and _strong_lucas_probable_prime(n))
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -256,18 +259,18 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _as_perfect_power(n: int) -> tuple[int, int]:
-    """(root, e) with root**e == n and e maximal; (n, 1) if n is no power.
+    """(root, e) with root**e == n for the least prime e; (n, 1) if n is no power.
 
     Denominator sequences are full of prime squares, which Pollard rho is
     hopeless at, so powers are peeled off before the rho stage. Only prime
-    exponents are tried: an (ab)-th power is an a-th power, and the
-    recursion on the root finds the rest.
+    exponents are tried: an (ab)-th power is an a-th power, and factorize
+    peels the root again. n must have no prime below TRIAL_DIVISION_BOUND,
+    so a root exceeds it and e < log2(n) / log2(TRIAL_DIVISION_BOUND).
     """
-    for e in primes_upto(n.bit_length() - 1):
+    for e in primes_upto(int(n.bit_length() / math.log2(TRIAL_DIVISION_BOUND))):
         root = _iroot(n, e)
         if root ** e == n:
-            inner, inner_e = _as_perfect_power(root)
-            return inner, e * inner_e
+            return root, e
     return n, 1
 
 

@@ -199,11 +199,11 @@ def suite_modp(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
         for a, translate in translates.items():
             homo_ok = homo_ok and red(translate) == (a * red(p_point)) + red(q_point)
         r = red(p_point)
-        o = modp.point_order(r, order)
+        o = modp.point_order(r)
         lagrange_ok = lagrange_ok and order % o == 0
         for k in (2, 3):
-            lagrange_ok = lagrange_ok and modp.point_order(k * r, order) == o // gcd(k, o)
-        member, witness = modp.in_cyclic_subgroup(red(q_point), r, order)
+            lagrange_ok = lagrange_ok and modp.point_order(k * r) == o // gcd(k, o)
+        member, witness = modp.in_cyclic_subgroup(red(q_point), r)
         if member:
             witness_ok = witness_ok and witness * r == red(q_point)
     _check(results, "reduction_homomorphism", homo_ok)

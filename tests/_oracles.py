@@ -475,18 +475,17 @@ def order_from_multiple_reference(cp, a, multiple, primes=None):
     return order
 
 
-def discrete_log_reference(cp, a, q, multiple=None, primes=None):
+def discrete_log_reference(cp, a, q, primes=None):
     """k with k*a = q (0 <= k < ord(a) when primes is omitted), or None.
 
-    The Pohlig-Hellman route in the primes-primary part of <a>, with the
-    smallest-multiple annihilator when multiple is omitted.
+    The Pohlig-Hellman route in the primes-primary part of <a>, from the
+    smallest-multiple annihilator.
     """
     if q is None:
         return 0
     if a is None:
         return None
-    if multiple is None:
-        multiple = annihilator_smallest(cp, a)
+    multiple = annihilator_smallest(cp, a)
     if primes is None:
         primes = trial_division_primes(multiple)
     cofactor = multiple

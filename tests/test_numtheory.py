@@ -220,6 +220,8 @@ def _factorization_inputs():
         999983, 999983 ** 2, 2 * 999983, 999983 * 1000003,
         (10 ** 6 + 3) ** 2, (10 ** 6 + 3) ** 3, 6 * (10 ** 6 + 3) ** 2,
         (10 ** 7 + 19) ** 3, (10 ** 6 + 3) ** 2 * (10 ** 7 + 19) ** 3,
+        # nested powers above the trial bound: the pending loop composes the exponents
+        (10 ** 6 + 3) ** 6, (2 ** 89 - 1) ** 2 * (10 ** 7 + 19) ** 4,
         1000003 * 1000033, (10 ** 7 + 19) * (10 ** 7 + 79),
         3 * 1000003 * 1000033 * 999983,
         math.prod(c[0] for c in _pm1_primes().values()),
