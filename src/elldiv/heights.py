@@ -322,13 +322,16 @@ def siegel_ratio(point: Point, place: int | None) -> float:
     nP+Q), the ratio of the weighted local height to the full naive height
     tends to 0 in n for every fixed place; this evaluates one sample of it.
     """
+    return siegel_ratios(point, [place])[0]
+
+
+def siegel_ratios(point: Point, places: list[int | None]) -> list[float]:
+    """siegel_ratio at each of the places, taking the naive height once."""
     if point.is_identity:
         raise IdentityPointError("the identity has no height to share")
     total = naive_height(point)
     if total == 0.0:
-        return 0.0
-    if place is ARCHIMEDEAN:
-        local = archimedean_local_height(point)
-    else:
-        local = local_height_exponent(point, place) * math.log(place)
-    return local / total
+        return [0.0] * len(places)
+    return [(archimedean_local_height(point) if place is ARCHIMEDEAN
+             else local_height_exponent(point, place) * math.log(place)) / total
+            for place in places]

@@ -25,6 +25,15 @@ the S-primary part of <P>, generated by R = (M / M_S) P, and membership is
 a walk over the at most 12 multiples (Mazur) of the order-t subgroup of
 <R>. A Q of infinite order takes the route above.
 
+For t = 2 the sweep first tries quadratic characters. With Q = (e, 0) on
+the short model and f = (x - e) g, the characters of x - e_i over the
+roots e_i of f in F_p give the class of a point in E(F_p)/2E(F_p), the
+complete 2-descent or reduced Tate pairing (AEC X.1; Miret, Moreno, Rio
+and Valls, Math. Comp. 74, 2005). Where the classes of the points of
+order 2 show the 2-Sylow subgroup to be {O, Q}, cyclic with P outside 2E,
+or E[2] itself, membership is read off the class of P (_two_torsion_exit);
+about half the primes are settled so. Every other prime takes the search.
+
 Group orders come from exhaustive counting for p <= 229. Above that
 they come from BSGS orders of random points on E and on its quadratic
 twist E': since #E + #E' = 2p + 2, the two lcms of sampled orders narrow
@@ -223,6 +232,62 @@ def _short_mul(p, A, k, a):
         lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
         x3 = (lam * lam - 2 * x) % p
         x, y = x3, (lam * (x - x3) - y) % p
+
+
+def _sqrt_mod(a, p):
+    """A square root of a nonzero quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1        # p - 1 = q 2^s with q odd
+    q = (p - 1) >> s
+    x, t = pow(a, (q + 1) // 2, p), pow(a, q, p)    # x^2 = a t, t of order 2^i, i < s
+    if t == 1:
+        return x
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c = pow(z, q, p)                                # of order 2^s
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u, i = u * u % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        x, c, t, s = x * b % p, b * b % p, t * b * b % p, i
+    return x
+
+
+def _two_torsion_exit(p, A, a, e):
+    """Whether Q = (e, 0) lies in <a> on y^2 = x^3 + Ax + B mod p; None if undecided.
+
+    f = (x - e) g with g = x^2 + e x + e^2 + A, and chi is the Legendre
+    symbol. R is in 2E(F_p) exactly when x(R) - e_i is a square for every
+    root e_i of f in F_p; at R = (e_i, 0) the product of e_i minus the other
+    roots stands in for x(R) - e_i, which is g(e) at R = Q.
+    - chi(disc g) = -1: E(F_p)[2] = {O, Q}, so the 2-Sylow is cyclic. a
+      outside 2E makes its 2-part a generator, so Q is in <a>; a in 2E and
+      Q outside 2E make the 2-Sylow {O, Q} and ord(a) odd, so Q is not.
+    - chi(disc g) = 1: with T = (e2, 0), the classes delta(R) =
+      (chi(x(R) - e), chi(x(R) - e2)) of Q and T distinct and nontrivial
+      mean no point of order 2 is a double, so the 2-Sylow is E[2] and the
+      2-part of a is Q exactly when delta(a) = delta(Q).
+    """
+    if a is None:
+        return False
+    x = a[0]
+    if x == e:                                  # a = Q
+        return True
+    h = (p - 1) // 2                            # chi(v) = v^h, as 1 or p - 1
+    disc, ge = (-3 * e * e - 4 * A) % p, pow(3 * e * e + A, h, p)
+    if pow(disc, h, p) != 1:
+        if pow(x - e, h, p) != 1:
+            return True
+        return None if ge == 1 else False
+    r = _sqrt_mod(disc, p)
+    e2 = (r - e) * (h + 1) % p                  # h + 1 = 1/2 mod p; the third root is e2 - r
+    if x == e2 or x == (e2 - r) % p:            # a has order 2 and is not Q
+        return False
+    dq, dt = (ge, pow(e - e2, h, p)), (pow(e2 - e, h, p), pow((e2 - e) * r, h, p))
+    if dq == dt or (1, 1) in (dq, dt):          # a point of order 2 is a double
+        return None
+    return (pow(x - e, h, p), pow(x - e2, h, p)) == dq
 
 
 def reduce_curve(curve: WeierstrassCurve, p: int) -> FpCurve:
@@ -525,6 +590,8 @@ def sweep_primes(
         if p <= 3:
             member = (_reduce_triple(*q_triple, p) in
                       _multiples(reduce_curve(curve, p), _reduce_triple(*p_triple, p)))
+        elif t == 2 and (verdict := _two_torsion_exit(p, A, pp, qp[0])) is not None:
+            member = verdict
         elif t is None:
             member = _discrete_log(p, A, pp, qp) is not None
         else:

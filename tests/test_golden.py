@@ -13,8 +13,11 @@ came to compare only the primes where group_order does not enumerate. The
 65a heights.siegel_trend line was written again (34 -> 14 finite places)
 when the heights suite stopped factoring primitive parts: its places are
 now the primes below 10^4 that divide some D_1 ... D_20, and 37a happens to
-keep the same 17. The ltcount file was written before the orbit sweep moved to the short
-Weierstrass model, and pins every member prime of 65a up to 10^5.
+keep the same 17. The 65a ltcount file was written before the orbit sweep moved to the short
+Weierstrass model, and pins every member prime of 65a up to 10^5. The order2-a
+ltcount file was written before the sweep settled primes by quadratic
+characters for a Q of order 2; on that fixture the characters find members,
+which on 65a they never do.
 """
 
 from pathlib import Path
@@ -52,14 +55,20 @@ def test_cli_output_matches_golden(capsys, monkeypatch, fixture, argv, stem, thr
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "threads-2"])
-def test_ltcount_output_matches_golden(capsys, monkeypatch, threads):
+LTCOUNT = [(fixture, threads) for fixture in ("65a", "order2-a") for threads in (None, "2")]
+
+
+@pytest.mark.parametrize("fixture,threads", LTCOUNT,
+                         ids=[("" if fixture == "65a" else f"{fixture}-")
+                              + ("serial" if threads is None else f"threads-{threads}")
+                              for fixture, threads in LTCOUNT])
+def test_ltcount_output_matches_golden(capsys, monkeypatch, fixture, threads):
     if threads is None:
         monkeypatch.delenv("ELLDIV_THREADS", raising=False)
     else:
         monkeypatch.setenv("ELLDIV_THREADS", threads)
-    expected = (GOLDEN / "ltcount-x100000-65a.json").read_bytes().decode("utf-8")
-    code = cli.main(["ltcount", str(ROOT / "fixtures" / "65a.fixture"),
+    expected = (GOLDEN / f"ltcount-x100000-{fixture}.json").read_bytes().decode("utf-8")
+    code = cli.main(["ltcount", str(ROOT / "fixtures" / f"{fixture}.fixture"),
                      "--x", "100000", "--keep-primes"])
     assert code == 0
     assert capsys.readouterr().out == expected

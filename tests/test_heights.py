@@ -15,6 +15,7 @@ from elldiv.heights import (
     log_int,
     naive_height,
     siegel_ratio,
+    siegel_ratios,
 )
 from elldiv.denominators import denom_sequence
 from elldiv.numtheory import factorize
@@ -134,9 +135,15 @@ def test_siegel_ratios_trend_to_zero(fixture_names, request, e37):
     terms = list(denom_sequence(p_point, q_point, 40))
     support = sorted({p for t in terms[:20] for p in factorize(t.denominator).factors})
     assert support, "fixture support should not be empty"
-    for place in support + [ARCHIMEDEAN]:
+    rows = [siegel_ratios(t.point, support + [ARCHIMEDEAN]) for t in terms]
+    for place, column in zip(support + [ARCHIMEDEAN], zip(*rows)):
         ratios = [siegel_ratio(t.point, place) for t in terms]
         assert max(ratios[20:]) <= max(ratios[:20])
+        # the one-place route, and the local height over the naive one, bit for bit
+        local = [archimedean_local_height(t.point) if place is ARCHIMEDEAN
+                 else local_height_exponent(t.point, place) * math.log(place) for t in terms]
+        assert list(column) == ratios == [
+            v / h if (h := naive_height(t.point)) else 0.0 for v, t in zip(local, terms)]
 
 
 def test_height_comparison_constant_evidence(p37, p65, hhat37_estimate, hhat65_estimate):

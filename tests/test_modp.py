@@ -17,6 +17,7 @@ from _oracles import (
     fp_mul,
     order_from_multiple_reference,
     random_point,
+    sqrt_mod,
     sweep_primes_reference,
 )
 from elldiv.modp import (
@@ -28,7 +29,9 @@ from elldiv.modp import (
     _short_add,
     _short_model,
     _short_mul,
+    _sqrt_mod,
     _to_short,
+    _two_torsion_exit,
     group_order,
     group_order_by_enumeration,
     in_cyclic_subgroup,
@@ -39,7 +42,7 @@ from elldiv.modp import (
     sweep_primes,
 )
 from elldiv.numtheory import primes_upto
-from elldiv.rational_ec import SingularCurveError, TorsionPointError, WeierstrassCurve
+from elldiv.rational_ec import SingularCurveError, TorsionPointError, WeierstrassCurve, torsion_order
 
 # 65a member primes up to 200; cross-checked against the orbit-walk oracle
 # below (test_membership_witness_is_sound covers every p <= 300)
@@ -532,3 +535,77 @@ def test_group_order_matches_enumeration_above_the_mestre_bound():
             if p > MESTRE_BOUND and curve.discriminant % p:
                 cp = reduce_curve(curve, p)
                 assert group_order(cp) == group_order_by_enumeration(cp), (name, p)
+
+
+def _order_two_cases(count, seed):
+    """(P, Q) with Q of order 2 and P of infinite order.
+
+    65a; the order2-a fixture, where the quadratic-character exit also finds
+    members; y^2 = x^3 + 3x with P = 3 (3, 6) = (27/121, -1098/1331), which
+    reduces to O at p = 11; then count seeded curves y^2 = x^3 + ax^2 + bx
+    moved by x -> x + r, y -> y + sx + t to general models with a1, a3 != 0.
+    The first five also come with P replaced by 2P + Q, so that P = Q mod p
+    at some p.
+    """
+    e65, fixture, cubic = (WeierstrassCurve(*c) for c in
+                           [(1, 0, 0, -1, 0), (0, -1, 0, -3, 0), (0, 0, 0, 3, 0)])
+    cases = [(e65.point(1, 0), e65.point(0, 0)), (fixture.point(3, 3), fixture.point(0, 0)),
+             (3 * cubic.point(3, 6), cubic.point(0, 0))]
+    rng, seeded = random.Random(seed), 0
+    while seeded < count:
+        a, b = rng.randint(-12, 12), rng.randint(-12, 12)
+        squares = {x: v for x in range(-12, 40)
+                   if (v := x ** 3 + a * x * x + b * x) > 0 and isqrt(v) ** 2 == v}
+        if b == 0 or a * a == 4 * b or not squares:
+            continue
+        x = rng.choice(sorted(squares))
+        nonzero = (-3, -2, -1, 1, 2, 3)
+        r, s, t = rng.randint(-5, 5), rng.choice(nonzero), rng.choice(nonzero)
+        curve = WeierstrassCurve(2 * s, 3 * r + a - s * s, 2 * t, 3 * r * r + 2 * a * r + b - 2 * s * t,
+                                 r ** 3 + a * r * r + b * r - t * t)
+        p_point = curve.point(x - r, isqrt(squares[x]) - s * (x - r) - t)
+        q_point = curve.point(-r, s * r - t)
+        if torsion_order(p_point) is None:
+            cases += [(p_point, q_point)] + [(2 * p_point + q_point, q_point)] * (seeded < 5)
+            seeded += 1
+    return cases
+
+
+def test_two_torsion_exit_agrees_with_the_oracle_route():
+    # every verdict the characters give at 5 <= p <= 3000 is the oracle's, and
+    # the sweep is the oracle's at every prime; the counts show that each
+    # verdict occurs with cyclic and with full 2-torsion, and that P = O, Q
+    # and another point of order 2 mod p all occur
+    verdicts, reduced_to = {}, {"O": 0, "Q": 0, "T": 0}
+    primes = primes_upto(3000)
+    for p_point, q_point in _order_two_cases(20, seed=20261019):
+        assert torsion_order(q_point) == 2
+        reference = sweep_primes_reference(p_point, q_point, primes)
+        members = set(reference[1])
+        for p in primes[2:]:
+            if p in reference[2]:
+                continue
+            cp = reduce_curve(p_point.curve, p)
+            _, big_a, a, (e, zero) = _to_short(cp, reduce_point(p_point, cp)._tuple(),
+                                               reduce_point(q_point, cp)._tuple())
+            verdict = _two_torsion_exit(p, big_a, a, e)
+            assert zero == 0 and verdict in (None, p in members), (p_point, p)
+            root, half = sqrt_mod(-3 * e * e - 4 * big_a, p), (p + 1) // 2
+            key = (root is not None, verdict)
+            verdicts[key] = verdicts.get(key, 0) + 1
+            if a is None or a[0] == e:
+                reduced_to["O" if a is None else "Q"] += 1
+            elif root is not None and a[0] in ((root - e) * half % p, (-root - e) * half % p):
+                reduced_to["T"] += 1
+        assert sweep_primes(p_point, q_point, primes) == reference
+    assert len(verdicts) == 6 and min(verdicts.values()) >= 100, verdicts
+    assert min(reduced_to.values()) >= 1, reduced_to
+
+
+@pytest.mark.parametrize("p", [103, 101, 97, 193, 257, 65537])
+def test_sqrt_mod_matches_brute_force(p):
+    # 103 = 3 mod 4 and 101 = 5 mod 8; the rest are 1 mod 8, 65537 = 2^16 + 1
+    residues = sorted({r * r % p for r in range(1, p)})
+    sample = residues if p < 1000 else random.Random(p).sample(residues, 3000) + [1, p - 1]
+    for a in sample:
+        assert _sqrt_mod(a, p) ** 2 % p == a

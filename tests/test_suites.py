@@ -12,7 +12,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # the shipped fixtures; the search-* curves took 20-40 s in `verify` while
 # the heights suite factored primitive parts to find its places
-ALL_FIXTURES = ["37a", "65a", "search-a", "search-b", "search-c"]
+ALL_FIXTURES = ["37a", "65a", "search-a", "search-b", "search-c", "order2-a"]
 
 # (fixture, m, k, p): p is a good odd prime of the untranslated B_m, mk <= 40
 FORMAL_GROUP_CORRUPTIONS = [("37a", 7, 3, 3), ("65a", 3, 3, 3)]
@@ -106,3 +106,12 @@ def test_run_suite_builds_the_stream_at_most_once(monkeypatch, suite, builds):
     monkeypatch.setattr(denominators, "denom_sequence", counted)
     suites.run_suite(suite, p_point, q_point)
     assert calls.count(q_point) == builds
+
+
+def test_heights_suite_takes_each_naive_height_once(monkeypatch):
+    # 40 for the siegel_trend rows, 12 for local_decomposition and 30 for
+    # height_comparison_bounded; one per (term, place) pair made 642 on 65a
+    real, calls = heights.naive_height, []
+    monkeypatch.setattr(heights, "naive_height", lambda point: calls.append(point) or real(point))
+    assert all(outcomes(suites.run_suite("heights", *points("65a"))).values())
+    assert len(calls) == 82
