@@ -23,16 +23,20 @@ search for M steps by t, which divides #E(F_p) (Lagrange). With S the
 primes of t and M_S the S-part of M, Q lies in <P> exactly when it lies in
 the S-primary part of <P>, generated by R = (M / M_S) P, and membership is
 a walk over the at most 12 multiples (Mazur) of the order-t subgroup of
-<R>. A Q of infinite order takes the route above.
+<R>. A Q of infinite order takes the route above, and t = 2 the one below.
 
-For t = 2 the sweep first tries quadratic characters. With Q = (e, 0) on
-the short model and f = (x - e) g, the characters of x - e_i over the
-roots e_i of f in F_p give the class of a point in E(F_p)/2E(F_p), the
-complete 2-descent or reduced Tate pairing (AEC X.1; Miret, Moreno, Rio
-and Valls, Math. Comp. 74, 2005). Where the classes of the points of
-order 2 show the 2-Sylow subgroup to be {O, Q}, cyclic with P outside 2E,
-or E[2] itself, membership is read off the class of P (_two_torsion_exit);
-about half the primes are settled so. Every other prime takes the search.
+For t = 2 membership is a fact about the 2-Sylow subgroup of E(F_p), read
+from quadratic characters (_order_two_member). With Q = (e, 0) on the
+short model and f = (x - e) g, the characters of x - e_i over the roots
+e_i of f in F_p give the class of a point in E(F_p)/2E(F_p), the complete
+2-descent or reduced Tate pairing (AEC X.1; Miret, Moreno, Rio and Valls,
+Math. Comp. 74, 2005). The classes of the points of order 2 tell which of
+them are doubles, and so decide most primes from the class of P alone.
+At the rest they prove that 4, 8 or 16 divides #E(F_p): Z/4 lies in
+E(F_p) when the 2-Sylow is cyclic and Q is a double, Z/4 x Z/2 when one
+point of order 2 is a double, and Z/4 x Z/4 when all three are. There the
+search for M steps by that power of 2, and Q is in <P> exactly when
+doubling the 2-part uP, u the odd part of M, ends at Q.
 
 Group orders come from exhaustive counting for p <= 229. Above that
 they come from BSGS orders of random points on E and on its quadratic
@@ -254,42 +258,6 @@ def _sqrt_mod(a, p):
     return x
 
 
-def _two_torsion_exit(p, A, a, e):
-    """Whether Q = (e, 0) lies in <a> on y^2 = x^3 + Ax + B mod p; None if undecided.
-
-    f = (x - e) g with g = x^2 + e x + e^2 + A, and chi is the Legendre
-    symbol. R is in 2E(F_p) exactly when x(R) - e_i is a square for every
-    root e_i of f in F_p; at R = (e_i, 0) the product of e_i minus the other
-    roots stands in for x(R) - e_i, which is g(e) at R = Q.
-    - chi(disc g) = -1: E(F_p)[2] = {O, Q}, so the 2-Sylow is cyclic. a
-      outside 2E makes its 2-part a generator, so Q is in <a>; a in 2E and
-      Q outside 2E make the 2-Sylow {O, Q} and ord(a) odd, so Q is not.
-    - chi(disc g) = 1: with T = (e2, 0), the classes delta(R) =
-      (chi(x(R) - e), chi(x(R) - e2)) of Q and T distinct and nontrivial
-      mean no point of order 2 is a double, so the 2-Sylow is E[2] and the
-      2-part of a is Q exactly when delta(a) = delta(Q).
-    """
-    if a is None:
-        return False
-    x = a[0]
-    if x == e:                                  # a = Q
-        return True
-    h = (p - 1) // 2                            # chi(v) = v^h, as 1 or p - 1
-    disc, ge = (-3 * e * e - 4 * A) % p, pow(3 * e * e + A, h, p)
-    if pow(disc, h, p) != 1:
-        if pow(x - e, h, p) != 1:
-            return True
-        return None if ge == 1 else False
-    r = _sqrt_mod(disc, p)
-    e2 = (r - e) * (h + 1) % p                  # h + 1 = 1/2 mod p; the third root is e2 - r
-    if x == e2 or x == (e2 - r) % p:            # a has order 2 and is not Q
-        return False
-    dq, dt = (ge, pow(e - e2, h, p)), (pow(e2 - e, h, p), pow((e2 - e) * r, h, p))
-    if dq == dt or (1, 1) in (dq, dt):          # a point of order 2 is a double
-        return None
-    return (pow(x - e, h, p), pow(x - e2, h, p)) == dq
-
-
 def reduce_curve(curve: WeierstrassCurve, p: int) -> FpCurve:
     """Residue model at a good prime; raises BadReductionError when p | disc."""
     if curve.discriminant % p == 0:
@@ -493,8 +461,73 @@ def point_order(point: FpPoint) -> int:
     return _order_from_multiple(*_to_short(cp, point._tuple()))
 
 
+def _order_two_member(p, A, a, e):
+    """Whether Q = (e, 0) lies in <a> on y^2 = x^3 + Ax + B mod a good p >= 5.
+
+    f = (x - e) g with g = x^2 + e x + e^2 + A, and chi is the Legendre
+    symbol. R is in 2E(F_p) exactly when x(R) - e_i is a square for every
+    root e_i of f in F_p; at R = (e_i, 0) the product of e_i minus the other
+    roots stands in for x(R) - e_i, which is g(e) at R = Q. Q is in <a>
+    exactly when it is the point of order 2 in the cyclic 2-part of <a>.
+    - chi(disc g) = -1: E(F_p)[2] = {O, Q}, so the 2-Sylow is cyclic. a
+      outside 2E makes its 2-part a generator, so Q is in <a>; a in 2E and
+      Q outside 2E make the 2-Sylow {O, Q} and ord(a) odd, so Q is not.
+      With Q in 2E, Z/4 lies in E(F_p) and the walk steps by 4.
+    - chi(disc g) = 1: with T = (e2, 0), delta(R) = (chi(x(R) - e),
+      chi(x(R) - e2)) maps E/2E onto {1, -1}^2, and the points of order 2
+      of class (1, 1) are the doubles D; D and O form a subgroup of E[2],
+      so |D| is 0, 1 or 3.
+      |D| = 0: the 2-Sylow is E[2], so the 2-part of a is Q exactly when
+      delta(a) = delta(Q).
+      |D| = 1: the 2-Sylow is Z/2^k x Z/2 with k >= 2, whose double of
+      order 2 lies on the Z/2^k factor, and 8 divides #E(F_p). If it is Q,
+      a class other than (1, 1) and the other points' makes the 2-part of a
+      of order 2^k on that factor, so Q is in <a>. If not, Q is no double,
+      so it can only be the 2-part of a itself, of class delta(Q).
+      |D| = 3: E[2] lies in 2E, so Z/4 x Z/4 lies in E(F_p): step 16.
+    Every other prime walks: the odd part u of a multiple of ord(a) from
+    the annihilator, stepped by the proven power of 2, gives the 2-part u*a,
+    which doubles down to the point of order 2 of <a>, if any, in at most
+    v_2 of the multiple steps.
+    """
+    if a is None:
+        return False
+    x = a[0]
+    if x == e:                                  # a = Q
+        return True
+    h = (p - 1) // 2                            # chi(v) = v^h, as 1 or p - 1
+    disc, ge = (-3 * e * e - 4 * A) % p, pow(3 * e * e + A, h, p)
+    if pow(disc, h, p) != 1:
+        if pow(x - e, h, p) != 1:
+            return True
+        if ge != 1:
+            return False
+        step = 4
+    else:
+        r = _sqrt_mod(disc, p)
+        e2 = (r - e) * (h + 1) % p              # h + 1 = 1/2 mod p; the third root is e2 - r
+        if x == e2 or x == (e2 - r) % p:        # a has order 2 and is not Q
+            return False
+        dq, dt = (ge, pow(e - e2, h, p)), (pow(e2 - e, h, p), pow((e2 - e) * r, h, p))
+        da, d3 = (pow(x - e, h, p), pow(x - e2, h, p)), (dq[0] * dt[0] % p, dq[1] * dt[1] % p)
+        doubles = (dq, dt, d3).count((1, 1))
+        if doubles == 0:
+            return da == dq
+        if doubles == 1 and dq == (1, 1) and da not in (dq, dt):    # dt = d3 here
+            return True
+        if doubles == 1 and dq != (1, 1) and da != dq:
+            return False
+        step = 8 if doubles == 1 else 16
+    m = _annihilator(p, A, a, step)
+    v = (m & -m).bit_length() - 1
+    b = _short_mul(p, A, m >> v, a)             # the 2-part of a
+    while b is not None and b[1]:               # double down to order 2
+        b = _short_add(p, A, b, b)
+    return b is not None and b[0] == e
+
+
 def _primary_part(p, A, a, multiple, primes):
-    """(c, r, ord(r)): r = c*a generates the primes-primary part of <a>.
+    """(r, ord(r)): r = c*a generates the primes-primary part of <a>.
 
     c is multiple with the primes stripped, and multiple is one of ord(a).
     """
@@ -503,7 +536,7 @@ def _primary_part(p, A, a, multiple, primes):
         while cofactor % ell == 0:
             cofactor //= ell
     r = _short_mul(p, A, cofactor, a)
-    return cofactor, r, _order_from_multiple(p, A, r, multiple // cofactor, primes)
+    return r, _order_from_multiple(p, A, r, multiple // cofactor, primes)
 
 
 def _discrete_log(p, A, a, q) -> int | None:
@@ -590,15 +623,15 @@ def sweep_primes(
         if p <= 3:
             member = (_reduce_triple(*q_triple, p) in
                       _multiples(reduce_curve(curve, p), _reduce_triple(*p_triple, p)))
-        elif t == 2 and (verdict := _two_torsion_exit(p, A, pp, qp[0])) is not None:
-            member = verdict
+        elif t == 2:
+            member = _order_two_member(p, A, pp, qp[0])
         elif t is None:
             member = _discrete_log(p, A, pp, qp) is not None
         else:
             # ord(Q) = t divides #E(F_p), so the annihilator steps by it; Q lies
             # in <R> when <R> has the order-t subgroup <g> (at most 12 points
             # by Mazur) and Q is one of its multiples
-            _, r, r_order = _primary_part(p, A, pp, _annihilator(p, A, pp, t), torsion_primes)
+            r, r_order = _primary_part(p, A, pp, _annihilator(p, A, pp, t), torsion_primes)
             walk = g = None if r_order % t else _short_mul(p, A, r_order // t, r)
             while walk != qp and walk is not None:
                 walk = _short_add(p, A, walk, g)

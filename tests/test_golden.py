@@ -17,7 +17,9 @@ keep the same 17. The 65a ltcount file was written before the orbit sweep moved 
 Weierstrass model, and pins every member prime of 65a up to 10^5. The order2-a
 ltcount file was written before the sweep settled primes by quadratic
 characters for a Q of order 2; on that fixture the characters find members,
-which on 65a they never do.
+which on 65a they never do. The order2-full ltcount file was written before
+the sweep walked the 2-part of P for a Q of order 2; on that curve every good
+prime has all three points of order 2 rational.
 """
 
 from pathlib import Path
@@ -55,7 +57,7 @@ def test_cli_output_matches_golden(capsys, monkeypatch, fixture, argv, stem, thr
     assert capsys.readouterr().out == expected
 
 
-LTCOUNT = [(fixture, threads) for fixture in ("65a", "order2-a") for threads in (None, "2")]
+LTCOUNT = [(fixture, threads) for fixture in ("65a", "order2-a", "order2-full") for threads in (None, "2")]
 
 
 @pytest.mark.parametrize("fixture,threads", LTCOUNT,

@@ -20,18 +20,19 @@ from _oracles import (
     sqrt_mod,
     sweep_primes_reference,
 )
+from elldiv import modp
 from elldiv.modp import (
     MESTRE_BOUND,
     BadReductionError,
     FpPoint,
     _annihilator,
     _hasse_interval,
+    _order_two_member,
     _short_add,
     _short_model,
     _short_mul,
     _sqrt_mod,
     _to_short,
-    _two_torsion_exit,
     group_order,
     group_order_by_enumeration,
     in_cyclic_subgroup,
@@ -540,7 +541,7 @@ def test_group_order_matches_enumeration_above_the_mestre_bound():
 def _order_two_cases(count, seed):
     """(P, Q) with Q of order 2 and P of infinite order.
 
-    65a; the order2-a fixture, where the quadratic-character exit also finds
+    65a; the order2-a fixture, where the quadratic characters also find
     members; y^2 = x^3 + 3x with P = 3 (3, 6) = (27/121, -1098/1331), which
     reduces to O at p = 11; then count seeded curves y^2 = x^3 + ax^2 + bx
     moved by x -> x + r, y -> y + sx + t to general models with a1, a3 != 0.
@@ -571,12 +572,53 @@ def _order_two_cases(count, seed):
     return cases
 
 
-def test_two_torsion_exit_agrees_with_the_oracle_route():
-    # every verdict the characters give at 5 <= p <= 3000 is the oracle's, and
-    # the sweep is the oracle's at every prime; the counts show that each
-    # verdict occurs with cyclic and with full 2-torsion, and that P = O, Q
-    # and another point of order 2 mod p all occur
-    verdicts, reduced_to = {}, {"O": 0, "Q": 0, "T": 0}
+def _order_two_route(p, big_a, a, e):
+    """(route, roots, D) of Q = (e, 0) and a on y^2 = x^3 + Ax + B mod p, worked out here.
+
+    roots are those of x^3 + Ax + B in F_p and D the points of order 2 whose
+    characters of x - e_i are all 1, the doubles. route is "cyclic" or "full"
+    where the characters decide with E(F_p)[2] = {O, Q}, or with a of order
+    at most 2 or |D| = 0; "member" or "non-member" where they decide with
+    |D| = 1; else the step of the 2-part walk.
+    """
+    def square(v):
+        return pow(v % p, (p - 1) // 2, p) == 1
+
+    root, half = sqrt_mod(-3 * e * e - 4 * big_a, p), (p + 1) // 2
+    if root is None:                            # E(F_p)[2] = {O, Q}
+        q_double = square(3 * e * e + big_a)
+        plain = a is None or a[0] == e or not square(a[0] - e) or not q_double
+        return "cyclic" if plain else 4, [e], [e] if q_double else []
+    roots = [e, (root - e) * half % p, (-root - e) * half % p]
+
+    def delta(x):
+        return tuple(square(x - r) if x != r else square((r - s) * (r - t))
+                     for r, s, t in [roots, roots[1:] + roots[:1], roots[2:] + roots[:2]])
+
+    doubles = [r for r in roots if all(delta(r))]
+    if a is None or a[0] in roots or not doubles:
+        return "full", roots, doubles
+    if len(doubles) == 3:
+        return 16, roots, doubles
+    if doubles == [e]:
+        other = delta(roots[1])
+        return ("member" if delta(a[0]) not in (delta(e), other) else 8), roots, doubles
+    return ("non-member" if delta(a[0]) != delta(e) else 8), roots, doubles
+
+
+def test_order_two_member_agrees_with_the_oracle_route(monkeypatch):
+    # at every good 5 <= p <= 3000 the verdict is the oracle's, the route is
+    # the one the characters of x - e_i call for, and a walk's step divides
+    # #E(F_p); each route occurs at least 100 times, and P = O, Q and another
+    # point of order 2 mod p all occur
+    steps, real = [], modp._annihilator
+
+    def annihilator(p, big_a, a, step=1):
+        steps.append(step)
+        return real(p, big_a, a, step)
+
+    monkeypatch.setattr(modp, "_annihilator", annihilator)
+    routes, reduced_to = {}, {"O": 0, "Q": 0, "T": 0}
     primes = primes_upto(3000)
     for p_point, q_point in _order_two_cases(20, seed=20261019):
         assert torsion_order(q_point) == 2
@@ -588,17 +630,20 @@ def test_two_torsion_exit_agrees_with_the_oracle_route():
             cp = reduce_curve(p_point.curve, p)
             _, big_a, a, (e, zero) = _to_short(cp, reduce_point(p_point, cp)._tuple(),
                                                reduce_point(q_point, cp)._tuple())
-            verdict = _two_torsion_exit(p, big_a, a, e)
-            assert zero == 0 and verdict in (None, p in members), (p_point, p)
-            root, half = sqrt_mod(-3 * e * e - 4 * big_a, p), (p + 1) // 2
-            key = (root is not None, verdict)
-            verdicts[key] = verdicts.get(key, 0) + 1
-            if a is None or a[0] == e:
-                reduced_to["O" if a is None else "Q"] += 1
-            elif root is not None and a[0] in ((root - e) * half % p, (-root - e) * half % p):
-                reduced_to["T"] += 1
+            route, roots, doubles = _order_two_route(p, big_a, a, e)
+            assert zero == 0 and len(doubles) in (0, 1, 3), (p_point, p)
+            steps.clear()
+            verdict = _order_two_member(p, big_a, a, e)
+            assert verdict == (p in members), (p_point, p, route)
+            if isinstance(route, int):
+                assert steps == [route] and group_order_by_enumeration(cp) % route == 0, (p_point, p)
+            else:
+                assert not steps and (route, verdict) not in [("member", False), ("non-member", True)]
+            routes[route] = routes.get(route, 0) + 1
+            if a is None or a[0] in roots:
+                reduced_to["O" if a is None else "Q" if a[0] == e else "T"] += 1
         assert sweep_primes(p_point, q_point, primes) == reference
-    assert len(verdicts) == 6 and min(verdicts.values()) >= 100, verdicts
+    assert len(routes) == 7 and min(routes.values()) >= 100, routes
     assert min(reduced_to.values()) >= 1, reduced_to
 
 
