@@ -11,19 +11,18 @@ serves FpPoint arithmetic.
 At p >= 5 every point order and discrete log takes its multiple M of
 ord(P) from one place, a ± baby-step / giant-step search over the Hasse
 interval (Shanks; Cohen, GTM 138, ch. 7), and stripping the primes of M
-gives ord(P). Q mod p lies in <P mod p> exactly when ord(P) Q = O and Q
-lies in the subgroup of <P> of order ord(Q), found from the same primes,
-where a BSGS solves the log, as in Pohlig-Hellman. This is correct even
-when E(F_p) itself is not cyclic.
+gives ord(P). Membership has one route, Pohlig-Hellman in the S-primary
+part of <P> for a set S of primes holding those of ord(Q) (Pohlig and
+Hellman, IEEE Trans. Inf. Theory 24, 1978): with c the part of M prime to
+S, R = cP generates it, and Q lies in <P> exactly when ord(R) Q = O and a
+BSGS in <R> solves the log. This is correct even when E(F_p) is not
+cyclic. in_cyclic_subgroup takes S the primes of M, so R = P.
 
-The orbit sweep alone takes another route when Q is torsion of order t
-over Q. Torsion injects into E(F_p) at good p >= 5 (AEC VII.3.1(b),
-IV.6.1), so ord(Q mod p) = t, and the sweep factors nothing per prime: its
-search for M steps by t, which divides #E(F_p) (Lagrange). With S the
-primes of t and M_S the S-part of M, Q lies in <P> exactly when it lies in
-the S-primary part of <P>, generated by R = (M / M_S) P, and membership is
-a walk over the at most 12 multiples (Mazur) of the order-t subgroup of
-<R>. A Q of infinite order takes the route above, and t = 2 the one below.
+The orbit sweep takes S the primes of t when Q is torsion of order t over
+Q. Torsion injects into E(F_p) at good p >= 5 (AEC VII.3.1(b), IV.6.1), so
+ord(Q mod p) = t, and the sweep factors nothing per prime: its search for
+M steps by t, which divides #E(F_p) (Lagrange). Q = O needs no search, and
+t = 2 takes the route below.
 
 For t = 2 membership is a fact about the 2-Sylow subgroup of E(F_p), read
 from quadratic characters (_order_two_member). With Q = (e, 0) on the
@@ -350,7 +349,8 @@ def _bsgs(p, A, b, target, lo, hi) -> int | None:
         x3 = (lam * lam - g[0] - bx) % p
         g = (x3, (lam * (bx - x3) - by) % p)
     if order is None:
-        stride = _short_add(p, A, _short_add(p, A, g, g), (bx, -by % p))     # (2s + 1)*b
+        sx = next(reversed(table))                  # x(s*b), the last baby step
+        stride = _short_add(p, A, g, (sx, table[sx][1]))      # (s + 1)*b + s*b = (2s + 1)*b
         order = None if stride else 2 * s + 1
     if order is not None:
         if target is None:
@@ -526,50 +526,42 @@ def _order_two_member(p, A, a, e):
     return b is not None and b[0] == e
 
 
-def _primary_part(p, A, a, multiple, primes):
-    """(r, ord(r)): r = c*a generates the primes-primary part of <a>.
+def _discrete_log(p, A, a, q, step=1, primes=None) -> int | None:
+    """k with k*a = q, or None when q is not in <a>; 0 <= k < ord(a) by default.
 
-    c is multiple with the primes stripped, and multiple is one of ord(a).
+    Pohlig-Hellman in the primes-primary part of <a>. The annihilator,
+    stepped by step (which must divide #E(F_p)), gives a multiple M of
+    ord(a); primes default to those of M, factored once. Stripping them
+    from M leaves c, and r = c*a generates that part, of order ord(r) from
+    the same primes. Every prime of ord(q) must be in primes: then q is in
+    <a> exactly when ord(r)*q = O and a BSGS over 0 <= j < ord(r) finds
+    j*r = q, and k = j*c mod c*ord(r). By default c = 1 and r = a.
     """
+    if q is None:
+        return 0
+    multiple = _annihilator(p, A, a, step)
+    if primes is None:
+        primes = factorize(multiple).factors
     cofactor = multiple
     for ell in primes:
         while cofactor % ell == 0:
             cofactor //= ell
     r = _short_mul(p, A, cofactor, a)
-    return r, _order_from_multiple(p, A, r, multiple // cofactor, primes)
-
-
-def _discrete_log(p, A, a, q) -> int | None:
-    """k with k*a = q and 0 <= k < ord(a), or None when q is not in <a>.
-
-    ord(a) comes from the annihilator's multiple, factored once; q is in
-    <a> only if ord(a)*q = O, and then ord(q), from the same primes, gives
-    the subgroup of <a> of that order, where BSGS solves the log.
-    """
-    if q is None:
-        return 0
-    if a is None:
+    order = _order_from_multiple(p, A, r, multiple // cofactor, primes)
+    if _short_mul(p, A, order, q) is not None:      # also when r = O, as q != O
         return None
-    multiple = _annihilator(p, A, a)
-    primes = factorize(multiple).factors
-    order = _order_from_multiple(p, A, a, multiple, primes)
-    if _short_mul(p, A, order, q) is not None:
-        return None
-    q_order = _order_from_multiple(p, A, q, order, primes)
-    step = order // q_order
-    j = _bsgs(p, A, _short_mul(p, A, step, a), q, 0, q_order - 1)
-    return None if j is None else j * step % order
+    j = _bsgs(p, A, r, q, 0, order - 1)
+    return None if j is None else j * cofactor % (cofactor * order)
 
 
 def in_cyclic_subgroup(q_point: FpPoint, p_point: FpPoint) -> tuple[bool, int | None]:
     """Whether Q mod p lies in <P mod p>, with a discrete-log witness.
 
     One annihilator search gives a multiple of ord(P), and its full
-    factorization gives ord(P). Q is a member exactly when ord(Q) divides
-    ord(P) and Q lies in the subgroup of <P> of order ord(Q), generated by
-    (ord(P)/ord(Q)) P, where a BSGS of size about sqrt(ord Q) finds the
-    log; at p <= 3 the multiples of P are walked. The witness k satisfies
-    k * P = Q with 0 <= k < ord(P).
+    factorization gives ord(P). Q is a member exactly when ord(P) Q = O and
+    a BSGS of size about sqrt(ord P) in <P> finds the log; at p <= 3 the
+    multiples of P are walked. The witness k satisfies k * P = Q with
+    0 <= k < ord(P).
     """
     if q_point.curve != p_point.curve:
         raise ValueError("points reduced at different primes or curves")
@@ -608,7 +600,7 @@ def sweep_primes(
     # at good p >= 5 torsion injects into E(F_p) (AEC VII.3.1(b), IV.6.1), so
     # ord(Q mod p) = t and the primes of t are the only ones membership needs
     t = torsion_order(q_point)
-    torsion_primes = None if t is None else list(factorize(t).factors)
+    torsion_primes = list(factorize(t).factors) if t is not None and t > 2 else None
     big_a = _short_model(curve)[0]
     p_triple, q_triple = _triple(p_point), _triple(q_point)
     p_short, q_short = _short_triple(curve, *p_triple), _short_triple(curve, *q_triple)
@@ -618,24 +610,14 @@ def sweep_primes(
         if curve.discriminant % p == 0:
             skipped.append(p)
             continue
-        A = big_a % p       # the short model is used only for p >= 5
-        pp, qp = _reduce_triple(*p_short, p), _reduce_triple(*q_short, p)
         if p <= 3:
             member = (_reduce_triple(*q_triple, p) in
                       _multiples(reduce_curve(curve, p), _reduce_triple(*p_triple, p)))
-        elif t == 2:
-            member = _order_two_member(p, A, pp, qp[0])
-        elif t is None:
-            member = _discrete_log(p, A, pp, qp) is not None
         else:
-            # ord(Q) = t divides #E(F_p), so the annihilator steps by it; Q lies
-            # in <R> when <R> has the order-t subgroup <g> (at most 12 points
-            # by Mazur) and Q is one of its multiples
-            r, r_order = _primary_part(p, A, pp, _annihilator(p, A, pp, t), torsion_primes)
-            walk = g = None if r_order % t else _short_mul(p, A, r_order // t, r)
-            while walk != qp and walk is not None:
-                walk = _short_add(p, A, walk, g)
-            member = walk == qp
+            # t, when finite, divides #E(F_p), so the annihilator steps by it
+            A, pp, qp = big_a % p, _reduce_triple(*p_short, p), _reduce_triple(*q_short, p)
+            member = (_order_two_member(p, A, pp, qp[0]) if t == 2 else
+                      _discrete_log(p, A, pp, qp, t or 1, torsion_primes) is not None)
         if member:
             members.append(p)
     return len(members), members, skipped

@@ -180,12 +180,12 @@ def _pool_map(fn, items: list, workers: int) -> list:
     # fn over items, returned in list order. The one place that chooses
     # between this process and a pool: one worker, or fewer than two items,
     # runs here and never imports multiprocessing. Otherwise the items go to
-    # that many processes, every one joined before this returns, so none
-    # holds stdout open.
+    # at most one process each, every one joined before this returns, so
+    # none holds stdout open; a fork pool starts all its workers at once.
     if workers == 1 or len(items) < 2:
         return list(map(fn, items))
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -270,6 +271,36 @@ def test_primdiv_respects_thread_env(capsys, fixture_path, monkeypatch):
         code, out, err = run_cli(capsys, "primdiv", path, "--n", "5")
         assert code == 1 and out == ""
         assert err.startswith("elldiv: error: ELLDIV_THREADS") and repr(bad) in err
+
+
+def test_a_pool_asks_for_no_more_workers_than_items(capsys, fixture_path, monkeypatch):
+    # a fork pool starts every worker at its first submit, so ELLDIV_THREADS=500
+    # must not ask for 500 processes to factor 4 parts or sweep 3 chunks; the
+    # stand-in pool records its size and maps in this process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    path = fixture_path(FIXTURE_65A)
+    runs = {}
+    for threads in ("1", "500"):
+        monkeypatch.setenv("ELLDIV_THREADS", threads)
+        runs[threads] = [run_cli(capsys, "primdiv", path, "--n", "5"),
+                         run_cli(capsys, "ltcount", path, "--x", "1000", "--keep-primes")]
+    assert runs["500"] == runs["1"] and runs["1"][0][0] == runs["1"][1][0] == 0
+    assert sizes == [4, 3]
 
 
 def test_primdiv_collision_writes_nothing_for_any_thread_count(capsys, fixture_path, monkeypatch):

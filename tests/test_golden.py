@@ -19,7 +19,9 @@ ltcount file was written before the sweep settled primes by quadratic
 characters for a Q of order 2; on that fixture the characters find members,
 which on 65a they never do. The order2-full ltcount file was written before
 the sweep walked the 2-part of P for a Q of order 2; on that curve every good
-prime has all three points of order 2 rational.
+prime has all three points of order 2 rational. The 37a (Q = O), search-a (Q
+of infinite order) and order3 (Q of order 3) ltcount files were written before
+the sweep sent every Q not of order 2 through one discrete-log route.
 """
 
 from pathlib import Path
@@ -57,7 +59,9 @@ def test_cli_output_matches_golden(capsys, monkeypatch, fixture, argv, stem, thr
     assert capsys.readouterr().out == expected
 
 
-LTCOUNT = [(fixture, threads) for fixture in ("65a", "order2-a", "order2-full") for threads in (None, "2")]
+LTCOUNT = [(fixture, threads)
+           for fixture in ("65a", "order2-a", "order2-full", "37a", "search-a", "order3")
+           for threads in (None, "2")]
 
 
 @pytest.mark.parametrize("fixture,threads", LTCOUNT,

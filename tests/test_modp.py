@@ -73,6 +73,25 @@ def orbit_walk_member(cp, p_reduced, q_reduced):
             return False
 
 
+@pytest.fixture
+def modp_calls(monkeypatch):
+    """The steps of every modp._annihilator call and the n of every modp.factorize call."""
+    calls = {"_annihilator": [], "factorize": []}
+    real_annihilator, real_factorize = modp._annihilator, modp.factorize
+
+    def annihilator(p, big_a, a, step=1):
+        calls["_annihilator"].append(step)
+        return real_annihilator(p, big_a, a, step)
+
+    def factorize(n, *args, **kwargs):
+        calls["factorize"].append(n)
+        return real_factorize(n, *args, **kwargs)
+
+    monkeypatch.setattr(modp, "_annihilator", annihilator)
+    monkeypatch.setattr(modp, "factorize", factorize)
+    return calls
+
+
 @pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
 def oracle_case(request):
     coeffs, p_xy, q_xy, bad = ORACLE_CASES[request.param]
@@ -208,13 +227,19 @@ def test_sweep_counts_match_orbit_walk_oracle(p65, q65):
         assert lang_trotter_sweep(p65, q65, x).count == expected
 
 
-def test_sweep_examples(e37, p37, p65, q65):
+def test_sweep_examples(e37, p37, p65, q65, modp_calls):
+    # Q = O is in every subgroup: every good prime counts, with no search
+    # and nothing factored
+    primes = primes_upto(10 ** 4)
+    swept = sweep_primes(p37, e37.identity(), primes)
+    assert modp_calls == {"_annihilator": [], "factorize": []}
+    good = [p for p in primes if p != 37]
+    assert swept == (len(good), good, [37])
+    result = lang_trotter_sweep(p37, e37.identity(), 10)
+    assert result.count == 4 and result.skipped_bad == []
     assert lang_trotter_sweep(p65, q65, 3).count == 1
     empty = lang_trotter_sweep(p65, q65, 1)
     assert empty.count == 0 and empty.ratio == 0.0 and empty.member_primes is None
-    # Q = O is in every subgroup: every good prime counts
-    result = lang_trotter_sweep(p37, e37.identity(), 10)
-    assert result.count == 4 and result.skipped_bad == []
 
 
 def test_sweep_skips_bad_primes(p65, q65):
@@ -276,11 +301,19 @@ def test_orbit_counts_increase_on_both_fixtures(e37, p37, p65, q65):
         assert counts[0] < counts[1] < counts[2]
 
 
-def test_sweep_matches_orbit_walk_beyond_order_two(oracle_case):
+def test_sweep_matches_orbit_walk_beyond_order_two(oracle_case, modp_calls):
+    # a torsion Q of order t: every search steps by t, and t is the one
+    # number factored; a Q of infinite order: M is factored once per prime
     p_point, q_point, bad = oracle_case
     primes = primes_upto(3000)
     count, members, skipped = sweep_primes(p_point, q_point, primes)
     assert skipped == bad
+    t = torsion_order(q_point)
+    if t is None:
+        assert set(modp_calls["_annihilator"]) == {1}
+        assert len(modp_calls["factorize"]) == len([p for p in primes[2:] if p not in bad])
+    else:
+        assert set(modp_calls["_annihilator"]) == {t} and modp_calls["factorize"] == [t]
     expected = []
     for p in primes:
         if p not in bad:
@@ -606,18 +639,12 @@ def _order_two_route(p, big_a, a, e):
     return ("non-member" if delta(a[0]) != delta(e) else 8), roots, doubles
 
 
-def test_order_two_member_agrees_with_the_oracle_route(monkeypatch):
+def test_order_two_member_agrees_with_the_oracle_route(modp_calls):
     # at every good 5 <= p <= 3000 the verdict is the oracle's, the route is
     # the one the characters of x - e_i call for, and a walk's step divides
     # #E(F_p); each route occurs at least 100 times, and P = O, Q and another
     # point of order 2 mod p all occur
-    steps, real = [], modp._annihilator
-
-    def annihilator(p, big_a, a, step=1):
-        steps.append(step)
-        return real(p, big_a, a, step)
-
-    monkeypatch.setattr(modp, "_annihilator", annihilator)
+    steps = modp_calls["_annihilator"]
     routes, reduced_to = {}, {"O": 0, "Q": 0, "T": 0}
     primes = primes_upto(3000)
     for p_point, q_point in _order_two_cases(20, seed=20261019):

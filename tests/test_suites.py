@@ -13,7 +13,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the shipped fixtures; the search-* curves took 20-40 s in `verify` while
 # the heights suite factored primitive parts to find its places
 ALL_FIXTURES = ["37a", "65a", "search-a", "search-b", "search-c", "order2-a",
-                "order2-full"]
+                "order2-full", "order3"]
 
 # (fixture, m, k, p): p is a good odd prime of the untranslated B_m, mk <= 40
 FORMAL_GROUP_CORRUPTIONS = [("37a", 7, 3, 3), ("65a", 3, 3, 3)]
