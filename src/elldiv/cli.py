@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage error (an out-of-range option or
 ELLDIV_THREADS value included) or fixture parse error, 2 mathematical
 precondition violation (torsion P, nP+Q hitting the identity, ...),
 3 verification-suite failure, 4 ``badset`` could not fully factor the
-discriminant or den(x(Q)) within its budget.
+discriminant within its budget.
 
 ELLDIV_THREADS, an integer >= 1 (default 1), sets the number of worker
 processes for ``ltcount`` and ``primdiv``; it is read here and nowhere in
@@ -42,7 +42,7 @@ from .denominators import (
 )
 from .heights import NonConvergenceError, canonical_height
 from .modp import lang_trotter_sweep
-from .numtheory import DEFAULT_FACTOR_BUDGET
+from .numtheory import DEFAULT_FACTOR_BUDGET, _PM1_GATE
 from .rational_ec import (
     Point,
     PointNotOnCurveError,
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_factor_budget(p):
         p.add_argument("--factor-budget", type=_int_at_least(0), default=DEFAULT_FACTOR_BUDGET,
                        help="factoring work budget per factorization: Pollard-rho steps plus "
-                            "p-1 units, with p-1 only from 366864 up")
+                            f"p-1 units, with p-1 only from {_PM1_GATE} up")
 
     p = add("primdiv", _cmd_primdiv, "emit primitive-divisor reports as CSV")
     p.add_argument("--n", type=_int_at_least(1), required=True, help="number of terms")

@@ -43,7 +43,7 @@ class IncompleteHistoryError(ValueError):
 
 
 class IncompleteFactorizationError(RuntimeError):
-    """bad_set could not fully factor the discriminant or den(x(Q)) within the budget."""
+    """bad_set could not fully factor the discriminant within the budget."""
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,10 @@ def bad_set(q_point: Point, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> BadPr
     """Primes dividing the discriminant, dividing 2*ord(Q), or where Q drops to O.
 
     Q must have finite order. The third class is, over Q, the primes dividing
-    the denominator of x(Q) for affine Q. If the discriminant or den(x(Q))
-    does not fully factor within the budget, the set cannot be certified
-    and IncompleteFactorizationError is raised.
+    the denominator of x(Q) for affine Q. By Nagell-Lutz that denominator is
+    1 or 4 (see torsion_order), so the class is {2} or empty. If the
+    discriminant does not fully factor within the budget, the set cannot be
+    certified and IncompleteFactorizationError is raised.
     """
     order = torsion_order(q_point)
     if order is None:
@@ -140,11 +141,8 @@ def bad_set(q_point: Point, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> BadPr
         reasons.setdefault(p, []).append(REASON_TORSION)
 
     if not q_point.is_identity and q_point.x.denominator > 1:
-        den_fac = factorize(q_point.x.denominator, factor_budget)
-        if not den_fac.is_complete:
-            raise IncompleteFactorizationError("could not fully factor den(x(Q)) within budget")
-        for p in den_fac.factors:
-            reasons.setdefault(p, []).append(REASON_Q_NONINTEGRAL)
+        # den x(Q) = 4, and 2 is a key already since 2 | 2 ord(Q)
+        reasons[2].append(REASON_Q_NONINTEGRAL)
 
     return BadPrimeSet({p: tuple(tags) for p, tags in sorted(reasons.items())})
 

@@ -158,7 +158,7 @@ def _nonsingular_everywhere(point: Point) -> bool:
     """
     c = point.curve
     d = math.isqrt(point.x.denominator)
-    a, b = point.x.numerator, point.y.numerator * d ** 3 // point.y.denominator
+    a, b = point.x.numerator, point.y.numerator
     f_x = c.a1 * b * d - 3 * a * a - 2 * c.a2 * a * d ** 2 - c.a4 * d ** 4
     f_y = 2 * b + c.a1 * a * d + c.a3 * d ** 3
     return math.gcd(c.discriminant, f_x, f_y) == 1

@@ -53,7 +53,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .numtheory import _pool_map, factorize, primes_upto
 from .rational_ec import Point, WeierstrassCurve, require_infinite_order, torsion_order
@@ -266,15 +266,15 @@ def reduce_curve(curve: WeierstrassCurve, p: int) -> FpCurve:
 
 
 def _triple(point: Point):
-    """A coprime projective triple (X, Y, Z) of the point; O is (0, 1, 0)."""
+    """A coprime projective triple (X, Y, Z) of the point; O is (0, 1, 0).
+
+    On an integral model x = a/d^2 and y = b/d^3 with b prime to d, so
+    (a d, b, d^3) is already coprime.
+    """
     if point.is_identity:
         return 0, 1, 0
     x, y = point.x, point.y
-    z = lcm(x.denominator, y.denominator)
-    big_x = x.numerator * (z // x.denominator)
-    big_y = y.numerator * (z // y.denominator)
-    g = gcd(gcd(big_x, big_y), z)
-    return big_x // g, big_y // g, z // g
+    return x.numerator * (y.denominator // x.denominator), y.numerator, y.denominator
 
 
 def _reduce_triple(big_x, big_y, z, p):

@@ -46,9 +46,6 @@ _PM1_GATE = 4 * _PM1_COST
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3317044064679887385961981
 
-_SMALL_PRIME_CACHE = array("I")
-_CHUNK_PRODUCTS: dict[int, int] = {}
-
 
 def is_prime(n: int) -> bool:
     """Primality of an integer, proven below 3.317e24 and BPSW above.
@@ -189,23 +186,19 @@ def _pool_map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+@functools.cache
 def _small_primes() -> array:
     # primes up to the trial-division bound, sieved once per process into
     # 4-byte entries; no list of them is ever built
-    if not _SMALL_PRIME_CACHE:
-        _SMALL_PRIME_CACHE.extend(itertools.chain.from_iterable(
-            _prime_runs(TRIAL_DIVISION_BOUND, _SEGMENT_SIZE)))
-    return _SMALL_PRIME_CACHE
+    runs = _prime_runs(TRIAL_DIVISION_BOUND, _SEGMENT_SIZE)
+    return array("I", itertools.chain.from_iterable(runs))
 
 
+@functools.cache
 def _chunk_product(start: int) -> int:
     # product of the TRIAL_CHUNK small primes from index start, built on
     # first use so that factoring small numbers never pays for the table
-    product = _CHUNK_PRODUCTS.get(start)
-    if product is None:
-        product = math.prod(_small_primes()[start : start + TRIAL_CHUNK])
-        _CHUNK_PRODUCTS[start] = product
-    return product
+    return math.prod(_small_primes()[start : start + TRIAL_CHUNK])
 
 
 def valuation(n: int, p: int) -> int:

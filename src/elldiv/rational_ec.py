@@ -12,8 +12,8 @@ downstream is therefore an exact equality of reduced rationals.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-# Mazur: rational torsion has order at most 12; search a little past it.
-TORSION_SEARCH_BOUND = 16
+# Mazur: rational torsion has order at most 12.
+TORSION_SEARCH_BOUND = 12
 
 
 class SingularCurveError(ValueError):

@@ -184,6 +184,18 @@ def strip_history(value, history):
     return value
 
 
+def coprime_triple_reference(point):
+    """A coprime projective triple (X, Y, Z) of the point by lcm and gcd; O is (0, 1, 0)."""
+    if point.is_identity:
+        return 0, 1, 0
+    x, y = point.x, point.y
+    z = math.lcm(x.denominator, y.denominator)
+    big_x = x.numerator * (z // x.denominator)
+    big_y = y.numerator * (z // y.denominator)
+    g = gcd(gcd(big_x, big_y), z)
+    return big_x // g, big_y // g, z // g
+
+
 @functools.cache
 def _trial_primes():
     return primes_upto(TRIAL_DIVISION_BOUND)

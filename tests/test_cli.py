@@ -141,7 +141,7 @@ def test_badset_command(capsys, fixture_path):
     assert payload["primes"] == ["2", "5", "13"]
     assert payload["reasons"]["5"] == ["divides_discriminant"]
     assert payload["reasons"]["2"] == ["divides_two_times_order_of_Q"]
-    # 65 and den(x(Q)) = 1 factor by trial division, so no budget changes the set
+    # 65 factors by trial division, so no budget changes the set
     assert run_cli(capsys, "badset", fixture_path(FIXTURE_65A), "--factor-budget", "0") == (0, out, "")
 
 

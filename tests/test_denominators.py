@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from conftest import HHAT_37A, HHAT_65A
+from elldiv import denominators
 from elldiv.denominators import (
     REASON_BAD_REDUCTION,
     REASON_Q_NONINTEGRAL,
@@ -24,7 +25,7 @@ from elldiv.denominators import (
     primitive_reports,
 )
 from elldiv.modp import reduce_curve, reduce_point
-from elldiv.numtheory import primes_upto, valuation
+from elldiv.numtheory import factorize, primes_upto, valuation
 from elldiv.rational_ec import TorsionPointError, WeierstrassCurve
 from _oracles import CURVES, ShortModelCurve, curve_points, strip_history, trial_division_primes
 
@@ -124,12 +125,21 @@ def test_bad_set_rejects_non_torsion_q(p37):
         bad_set(5 * p37)
 
 
-def test_bad_set_with_non_integral_torsion_q():
+def test_bad_set_with_non_integral_torsion_q(monkeypatch):
     curve = WeierstrassCurve(1, 0, 0, -4, -1)   # disc 3969 = 3^4 * 7^2
     q = curve.point(Fraction(-1, 4), Fraction(1, 8))
+    factored = []
+
+    def spy(n, *args, **kwargs):
+        factored.append(n)
+        return factorize(n, *args, **kwargs)
+
+    monkeypatch.setattr(denominators, "factorize", spy)
     bad = bad_set(q)
     assert bad.primes == [2, 3, 7]
-    assert set(bad.reasons[2]) == {REASON_TORSION, REASON_Q_NONINTEGRAL}
+    assert bad.reasons[2] == (REASON_TORSION, REASON_Q_NONINTEGRAL)
+    # by Nagell-Lutz den(x(Q)) is 4, so only |disc| and 2 ord(Q) are factored
+    assert factored == [3969, 4]
 
 
 def test_bad_set_raises_when_the_discriminant_does_not_factor():

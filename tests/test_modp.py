@@ -12,6 +12,7 @@ from _oracles import (
     CURVES,
     ORACLE_CASES,
     annihilator_smallest,
+    coprime_triple_reference,
     curve_points,
     discrete_log_reference,
     fp_mul,
@@ -21,6 +22,8 @@ from _oracles import (
     sweep_primes_reference,
 )
 from elldiv import modp
+from elldiv.cli import load_fixture
+from elldiv.denominators import denom_sequence
 from elldiv.modp import (
     MESTRE_BOUND,
     BadReductionError,
@@ -33,6 +36,7 @@ from elldiv.modp import (
     _short_mul,
     _sqrt_mod,
     _to_short,
+    _triple,
     group_order,
     group_order_by_enumeration,
     in_cyclic_subgroup,
@@ -50,6 +54,7 @@ from elldiv.rational_ec import SingularCurveError, TorsionPointError, Weierstras
 MEMBERS_65A_UPTO_200 = [2, 17, 41, 73, 89, 97, 109, 113, 137, 149, 157, 193, 197]
 SWEEP_65A = {100: 6, 1000: 43, 3000: 117}
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _fresh_python(code, **env):
@@ -201,6 +206,21 @@ def test_membership_of_affine_q_with_identity_p(e37, p37):
     affine_q = reduce_point(p37, cp)
     assert in_cyclic_subgroup(affine_q, identity_p) == (False, None)
     assert in_cyclic_subgroup(identity_p, affine_q)[0] is True
+
+
+@pytest.mark.parametrize("name", sorted(f.stem for f in FIXTURES.glob("*.fixture")))
+def test_triple_matches_the_lcm_gcd_reference(name):
+    fixture = load_fixture(str(FIXTURES / f"{name}.fixture"))
+    for term in denom_sequence(fixture.p, fixture.q, 40):
+        for point in (term.point, -term.point):
+            assert _triple(point) == coprime_triple_reference(point)
+
+
+def test_triple_of_a_non_integral_point():
+    q = WeierstrassCurve(1, 0, 0, -4, -1).point(Fraction(-1, 4), Fraction(1, 8))
+    for point in (q, -q, q.curve.identity()):
+        assert _triple(point) == coprime_triple_reference(point)
+    assert _triple(q) == (-2, 1, 8)
 
 
 def test_reduction_is_a_homomorphism(e37, p37, e65, p65, q65):

@@ -151,6 +151,8 @@ TORSION_CASES = [
     ((-1, -4, -4, 0, 0), (0, 0), 7),
     ((-1, -12, -24, 0, 0), (0, 0), 8),
     ((-3, -12, -12, 0, 0), (0, 0), 9),
+    ((-5, -24, -24, 0, 0), (0, 0), 10),
+    ((43, -210, -210, 0, 0), (0, 0), 12),
 ]
 
 
