@@ -125,7 +125,11 @@ def canonical_height(point: Point, tol: float = DEFAULT_TOLERANCE) -> HeightEsti
       point with enough bits that its drift moves the sum by under 2^-64,
       the polynomial values are exact, and the rest covers correctly
       rounded integer quotients, a libm log within one ulp, and the float
-      sums.
+      sums. Each step drops log2 of expansion = (sup|w'| + 5 sup|D'|) / low
+      bits, low = f/4, which bounds the slope of the doubling map wherever
+      the orbit's error e meets e * max(sup|D'|, sup|w'|) <= low; the
+      starting precision meets that condition at every step
+      (_archimedean_series has the proof).
 
     N is the least count with T <= 2^-54, so the value is as accurate as a
     double allows whatever ``tol`` is; ``tol`` only decides whether the
@@ -168,13 +172,32 @@ def _archimedean_series(point: Point) -> tuple[float, float, int]:
     """(log|a| + (1/4) sum_n 4^-n l_n, its error bound, terms N); see canonical_height.
 
     Chart 0 is u = x and chart 1 is u = x + 1. In either, t = 1/u, and
-    doubling maps t to w(t)/z(t). A term stays in its chart when
-    |w| <= 2|z| (l = log|z|) and otherwise moves to the other one
-    (l = log|z +- w|), so |t| <= 2 along the whole orbit. t is held as an
-    integer over 2^bits and z, w are evaluated exactly, scaled by 2^(4 bits).
-    A rounding at step j grows by at most `expansion` per later step, so
-    each step drops log2(expansion) bits and the drift of the orbit moves
-    the sum by under 2^-64 at every step.
+    doubling maps t to w(t)/D(t). A term stays in its chart when
+    |w| <= 2|z| (D = z) and otherwise moves to the other one (D = z +- w),
+    so |w/D| <= 2 and |t| <= 2 along the whole orbit, and l = log|D|. t is
+    held as an integer over 2^bits, z and w are evaluated exactly, scaled by
+    2^(4 bits), and each step drops step_bits = log2(expansion) bits.
+
+    Why that precision suffices. Let f be the Bezout floor of max(|z|, |w|)
+    on |t| <= 9/4 and low = f/4 (_series_constants). At a computed t the
+    branch rule gives |D| >= f/2 = 2 low and |w/D| <= 2. Compare the
+    computed orbit with the exact one that takes the same branches, and let
+    e be their distance at a step. Smallness condition: e sup|D'| <= low
+    and e sup|w'| <= low, that is e * lipschitz <= 1. Between the two
+    points |D| then stays above |D(t)| - low >= low and
+    |w/D| <= (2|D(t)| + low) / (|D(t)| - low) <= 5, so
+
+        |d(w/D)/dt| = |w'/D - (w/D) D'/D| <= (sup|w'| + 5 sup|D'|) / low = expansion,
+        |d log|D| / dt| <= sup|D'| / low <= lipschitz.
+
+    Each floor division adds under 2^-bits, so with bits_n = bits_0 -
+    n step_bits and expansion <= 2^step_bits, induction gives
+    e_n <= (n + 1) 2^-bits_n. As bits_0 = 66 + N step_bits + log2(lipschitz)
+    and step_bits >= 2, lipschitz e_n <= (n + 1) 2^-66 4^(n - N) <= N 2^-68
+    for n < N. N is at most 539 because L is a finite double, so the
+    smallness condition holds at every step. l_n moves by at most
+    lipschitz e_n, and (1/4) sum_n 4^-n l_n by at most
+    2^-68 4^-N sum_n (n + 1) <= 2^-70.
     """
     charts, lipschitz, expansion, ell_max = _series_constants(point.curve)
     x = point.x
@@ -187,11 +210,12 @@ def _archimedean_series(point: Point) -> tuple[float, float, int]:
     total = magnitude = 0.0
     for n in range(terms):
         z_poly, w_poly = charts[chart]
-        z = w = 0
+        z, w = z_poly[0] << 4 * bits, w_poly[0] << 4 * bits
         power = 1
-        for i in range(5):
+        for i in range(1, 5):
+            power *= t
             scaled = power << bits * (4 - i)
-            z, w, power = z + z_poly[i] * scaled, w + w_poly[i] * scaled, power * t
+            z, w = z + z_poly[i] * scaled, w + w_poly[i] * scaled
         d = z
         if abs(w) > 2 * abs(z):
             d, chart = z + (1 - 2 * chart) * w, 1 - chart
@@ -210,10 +234,13 @@ def _archimedean_series(point: Point) -> tuple[float, float, int]:
 def _series_constants(curve) -> tuple[tuple, Fraction, Fraction, float]:
     """Per-chart (z, w) polynomials and the bounds the series needs on |t| <= 9/4.
 
-    Returns the charts, a Lipschitz constant for every l = log|D| and one
-    (at least 2) for every doubling step t -> w/D, both where |D| stays
-    above a quarter of the Bezout floor, and the bound L on |l|.
-    Polynomials are coefficient lists, constant term first.
+    low is a quarter of the Bezout floor of max(|z|, |w|), and the sups run
+    over |t| <= 9/4 for each chart and each branch D in (z, z +- w). Returns
+    the charts; lipschitz = max(sup|D'|, sup|w'|) / low, which bounds the
+    slope of every l = log|D| and sets the smallness condition; expansion =
+    (sup|w'| + 5 sup|D'|) / low, at least 2, which bounds the slope of every
+    doubling step t -> w/D (derived in _archimedean_series); and the bound
+    L on |l|. Polynomials are coefficient lists, constant term first.
     """
     bound = Fraction(9, 4)
     b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
@@ -224,21 +251,23 @@ def _series_constants(curve) -> tuple[tuple, Fraction, Fraction, float]:
         z, w = [1, 0, -c4, -2 * c6, -c8], [0, 4, c2, 2 * c4, c6]
         charts.append((tuple(z), tuple(w)))
         low = _coprime_floor(z, w, bound) / 4
-        sup_w, sup_dw = _sup(w, bound), _sup(_derivative(w), bound)
+        sup_dw = _sup(_derivative(w), bound)
         for d in (z, [zi + sign * wi for zi, wi in zip(z, w)]):
             sup_d, sup_dd = _sup(d, bound), _sup(_derivative(d), bound)
-            lipschitz = max(lipschitz, sup_dd / low)
-            expansion = max(expansion, (sup_dw * sup_d + sup_w * sup_dd) / low ** 2)
+            lipschitz = max(lipschitz, max(sup_dd, sup_dw) / low)
+            expansion = max(expansion, (sup_dw + 5 * sup_dd) / low)
             ell_max = max(ell_max, _log_fraction(sup_d), -_log_fraction(low))
     return tuple(charts), lipschitz, expansion, ell_max
 
 
 def _coprime_floor(f, g, bound) -> Fraction:
-    """A lower bound for max(|f(t)|, |g(t)|) on |t| <= bound; f, g coprime.
+    """A lower bound for max(|f(t)|, |g(t)|) on |t| <= bound; f, g coprime, integral.
 
     Each step cancels the leading term of the row of higher degree against
-    the other row, keeping r = s*f + u*g on every row (r, s, u). At a
-    nonzero constant r, |r| <= (|s(t)| + |u(t)|) * max(|f(t)|, |g(t)|).
+    the other row, keeping r = s*f + u*g on every row (r, s, u); rows are
+    kept integral and divided by their content, which scales r, s and u
+    alike. At a nonzero constant r,
+    |r| <= (|s(t)| + |u(t)|) * max(|f(t)|, |g(t)|).
     """
     rows = [(f, [1], [0]), (g, [0], [1])]
     while True:
@@ -246,26 +275,29 @@ def _coprime_floor(f, g, bound) -> Fraction:
         low, high = rows
         dl, dh = _degree(low[0]), _degree(high[0])
         if dl == 0:
-            return abs(Fraction(low[0][0])) / (_sup(low[1], bound) + _sup(low[2], bound))
-        c = Fraction(high[0][dh], low[0][dl])
-        rows[1] = tuple(_minus_shifted(h, c, dh - dl, l) for h, l in zip(high, low))
+            return Fraction(abs(low[0][0])) / (_sup(low[1], bound) + _sup(low[2], bound))
+        a, b = low[0][dl], high[0][dh]
+        row = [_minus_shifted(h, a, b, dh - dl, l) for h, l in zip(high, low)]
+        content = math.gcd(*(c for poly in row for c in poly))
+        rows[1] = tuple([c // content for c in poly] for poly in row)
 
 
 def _degree(poly) -> int:
     return max((i for i, c in enumerate(poly) if c), default=-1)
 
 
-def _minus_shifted(p, c, shift: int, q) -> list:
-    """p - c * t^shift * q."""
-    out = list(p) + [0] * (len(q) + shift - len(p))
+def _minus_shifted(p, a, b, shift: int, q) -> list:
+    """a * p - b * t^shift * q."""
+    out = [a * c for c in p] + [0] * (len(q) + shift - len(p))
     for i, qi in enumerate(q):
-        out[i + shift] -= c * qi
+        out[i + shift] -= b * qi
     return out
 
 
 def _sup(poly, bound) -> Fraction:
-    """sum |c_i| bound^i, an upper bound for |poly(t)| on |t| <= bound."""
-    return sum(abs(c) * bound ** i for i, c in enumerate(poly))
+    """sum |c_i| bound^i, an upper bound for |poly(t)| on |t| <= bound; integral poly."""
+    num, den, n = bound.numerator, bound.denominator, len(poly) - 1
+    return Fraction(sum(abs(c) * num ** i * den ** (n - i) for i, c in enumerate(poly)), den ** n)
 
 
 def _derivative(poly) -> list:

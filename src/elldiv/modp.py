@@ -327,7 +327,7 @@ def _hasse_interval(p: int) -> tuple[int, int]:
     return p + 1 - w, p + 1 + w
 
 
-def _bsgs(p, A, b, target, lo, hi) -> int | None:
+def _bsgs(p, A, b, target, lo, hi, order=None) -> int | None:
     """Some m with m*b = target for b != O, or None if no m in [lo, hi] has it.
 
     ± matching: baby steps j*b, j = 1..s, are keyed by x, so a giant point
@@ -335,8 +335,20 @@ def _bsgs(p, A, b, target, lo, hi) -> int | None:
     decides. Centres c are the multiples of the stride 2s + 1. An order
     ord(b) <= 2s + 1 shows before the giant steps and is the answer for
     target = O, which always gets a positive m, in [lo, hi] or not.
+
+    A caller that knows ord(b) passes it as order, with lo = 0, hi =
+    order - 1 and target != O. If order <= 2s + 1, <b> is O and ±j*b for
+    j <= order // 2, so the baby steps stop at the target or there, and
+    the order is not looked for again.
     """
     s = isqrt(hi - lo) // 2 + 1
+    if order is not None and order <= 2 * s + 1:
+        g, j = b, 1
+        while g[0] != target[0]:
+            if j == order // 2:
+                return None
+            g, j = _short_add(p, A, g, b), j + 1
+        return j if g[1] == target[1] else -j
     (bx, by), g = b, _short_add(p, A, b, b)
     table, order = {bx: (1, by)}, None if g else 2
     for j in range(2, s + 1 if g else 2):
@@ -534,8 +546,9 @@ def _discrete_log(p, A, a, q, step=1, primes=None) -> int | None:
     ord(a); primes default to those of M, factored once. Stripping them
     from M leaves c, and r = c*a generates that part, of order ord(r) from
     the same primes. Every prime of ord(q) must be in primes: then q is in
-    <a> exactly when ord(r)*q = O and a BSGS over 0 <= j < ord(r) finds
-    j*r = q, and k = j*c mod c*ord(r). By default c = 1 and r = a.
+    <a> exactly when ord(r)*q = O and a BSGS over 0 <= j < ord(r), told
+    that order, finds j*r = q, and k = j*c mod c*ord(r). By default c = 1
+    and r = a.
     """
     if q is None:
         return 0
@@ -550,7 +563,7 @@ def _discrete_log(p, A, a, q, step=1, primes=None) -> int | None:
     order = _order_from_multiple(p, A, r, multiple // cofactor, primes)
     if _short_mul(p, A, order, q) is not None:      # also when r = O, as q != O
         return None
-    j = _bsgs(p, A, r, q, 0, order - 1)
+    j = _bsgs(p, A, r, q, 0, order - 1, order)
     return None if j is None else j * cofactor % (cofactor * order)
 
 

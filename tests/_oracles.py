@@ -159,6 +159,67 @@ def doubling_limit(curve, pt, tol=0.0, max_doublings=8):
     return estimate
 
 
+@functools.cache
+def series_constants_reference(curve):
+    """The height series' constants with the two-power expansion bound it had first.
+
+    Same return shape as heights._series_constants: the per-chart (z, w)
+    polynomials, lipschitz = sup|D'| / low, expansion =
+    (sup|w'| sup|D| + sup|w| sup|D'|) / low^2 (at least 2), the quotient
+    rule with |D| >= low, and the bound L on |l|, all on |t| <= 9/4 with
+    low a quarter of the Bezout floor of max(|z|, |w|). The charts, low and
+    L are built the same way, so a series run on these constants takes the
+    same N and differs only in its working precision.
+    """
+    bound = Fraction(9, 4)
+
+    def sup(poly):
+        return sum(abs(c) * bound ** i for i, c in enumerate(poly))
+
+    def derivative(poly):
+        return [i * c for i, c in enumerate(poly)][1:]
+
+    def degree(poly):
+        return max((i for i, c in enumerate(poly) if c), default=-1)
+
+    def bezout_floor(f, g):
+        # rows r = s f + u g; cancel the top term of the row of higher degree
+        rows = [(list(f), [1], [0]), (list(g), [0], [1])]
+        while True:
+            rows.sort(key=lambda row: degree(row[0]))
+            low_row, high_row = rows
+            dl, dh = degree(low_row[0]), degree(high_row[0])
+            if dl == 0:
+                return abs(Fraction(low_row[0][0])) / (sup(low_row[1]) + sup(low_row[2]))
+            c, shift = Fraction(high_row[0][dh], low_row[0][dl]), dh - dl
+            new_row = []
+            for h, l in zip(high_row, low_row):
+                out = list(h) + [0] * (len(l) + shift - len(h))
+                for i, li in enumerate(l):
+                    out[i + shift] -= c * li
+                new_row.append(out)
+            rows[1] = tuple(new_row)
+
+    def log(q):
+        return math.log(q.numerator) - math.log(q.denominator)
+
+    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+    shifted = (b2 - 12, b4 - b2 + 6, b6 - 2 * b4 + b2 - 4, b8 - 3 * b6 + 3 * b4 - b2 + 3)
+    charts = []
+    lipschitz, expansion, ell_max = Fraction(1), Fraction(2), 0.0
+    for sign, (c2, c4, c6, c8) in ((1, (b2, b4, b6, b8)), (-1, shifted)):
+        z, w = [1, 0, -c4, -2 * c6, -c8], [0, 4, c2, 2 * c4, c6]
+        charts.append((tuple(z), tuple(w)))
+        low = bezout_floor(z, w) / 4
+        sup_w, sup_dw = sup(w), sup(derivative(w))
+        for d in (z, [zi + sign * wi for zi, wi in zip(z, w)]):
+            sup_d, sup_dd = sup(d), sup(derivative(d))
+            lipschitz = max(lipschitz, sup_dd / low)
+            expansion = max(expansion, (sup_dw * sup_d + sup_w * sup_dd) / low ** 2)
+            ell_max = max(ell_max, log(sup_d), -log(low))
+    return tuple(charts), lipschitz, expansion, ell_max
+
+
 def trial_division_primes(n):
     """The distinct primes of n >= 1, by plain trial division (small n only)."""
     primes = set()

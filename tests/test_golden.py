@@ -21,7 +21,10 @@ which on 65a they never do. The order2-full ltcount file was written before
 the sweep walked the 2-part of P for a Q of order 2; on that curve every good
 prime has all three points of order 2 rational. The 37a (Q = O), search-a (Q
 of infinite order) and order3 (Q of order 3) ltcount files were written before
-the sweep sent every Q not of order 2 through one discrete-log route.
+the sweep sent every Q not of order 2 through one discrete-log route. The
+height files, one per shipped fixture, were written before the height
+series' expansion bound went from two powers of its floor to one, which
+changed only the working precision.
 """
 
 from pathlib import Path
@@ -76,5 +79,25 @@ def test_ltcount_output_matches_golden(capsys, monkeypatch, fixture, threads):
     expected = (GOLDEN / f"ltcount-x100000-{fixture}.json").read_bytes().decode("utf-8")
     code = cli.main(["ltcount", str(ROOT / "fixtures" / f"{fixture}.fixture"),
                      "--x", "100000", "--keep-primes"])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+HEIGHT = [(fixture, threads)
+          for fixture in ("37a", "65a", "order2-a", "order2-full", "order3",
+                          "search-a", "search-b", "search-c")
+          for threads in (None, "2")]
+
+
+@pytest.mark.parametrize("fixture,threads", HEIGHT,
+                         ids=[fixture + ("" if threads is None else f"-threads-{threads}")
+                              for fixture, threads in HEIGHT])
+def test_height_output_matches_golden(capsys, monkeypatch, fixture, threads):
+    if threads is None:
+        monkeypatch.delenv("ELLDIV_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ELLDIV_THREADS", threads)
+    expected = (GOLDEN / f"height-tol1e-10-{fixture}.json").read_bytes().decode("utf-8")
+    code = cli.main(["height", str(ROOT / "fixtures" / f"{fixture}.fixture"), "--tol", "1e-10"])
     assert code == 0
     assert capsys.readouterr().out == expected

@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import HHAT_37A, HHAT_65A
+from elldiv import heights
+from elldiv.cli import load_fixture
 from elldiv.heights import (
     ARCHIMEDEAN,
     IdentityPointError,
@@ -20,7 +23,7 @@ from elldiv.heights import (
 from elldiv.denominators import denom_sequence
 from elldiv.numtheory import factorize
 from elldiv.rational_ec import Point, WeierstrassCurve
-from _oracles import DoublingLimitError, ShortModelCurve, doubling_limit
+from _oracles import DoublingLimitError, ShortModelCurve, doubling_limit, series_constants_reference
 
 
 def test_log_int():
@@ -223,3 +226,97 @@ def test_tolerance_must_be_positive(p37):
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             canonical_height(p37, tol)
+
+
+# -- the series' working precision -------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SHIPPED = ["37a", "65a", "order2-a", "order2-full", "order3", "search-a", "search-b", "search-c"]
+LARGE_COEFFICIENTS = (0, 0, 0, 10 ** 31, -10 ** 31)
+
+
+def series_points():
+    """nP and nP+Q for n <= 20 on the shipped fixtures, and nP on a curve
+    whose series changes chart (ENCLOSURE_CASES)."""
+    out = []
+    for name in SHIPPED:
+        fixture = load_fixture(str(FIXTURES / f"{name}.fixture"))
+        multiple = fixture.curve.identity()
+        for _ in range(20):
+            multiple = multiple + fixture.p
+            out += [multiple, multiple + fixture.q]
+    switching = WeierstrassCurve(0, -1, 1, -3, 4).point(2, 1)
+    return out + [n * switching for n in range(1, 21)]
+
+
+def estimates(points):
+    return [(e.value, e.error_bound, e.iterations_used)
+            for e in (canonical_height(point, 1.0) for point in points)]
+
+
+def test_series_agrees_bit_for_bit_with_the_two_power_reference(monkeypatch):
+    points = series_points()
+    for curve in {point.curve for point in points}:
+        charts, _, _, ell_max = heights._series_constants(curve)
+        reference = series_constants_reference(curve)
+        assert (charts, ell_max) == (reference[0], reference[3])
+    proven = estimates(points)
+    monkeypatch.setattr(heights, "_series_constants", series_constants_reference)
+    assert estimates(points) == proven
+
+
+def test_series_at_four_times_the_bits_agrees_within_the_drift(monkeypatch):
+    # 2^8 expansion^4 and 2^206 lipschitz^4 give every step at least four
+    # times its proven bits; the proven run's drift moves the sum by at most
+    # 2^-70 (_archimedean_series), far below a double's spacing here
+    points = series_points()
+    proven = estimates(points)
+    series_constants = heights._series_constants
+
+    def four_times(curve):
+        charts, lipschitz, expansion, ell_max = series_constants(curve)
+        return charts, lipschitz ** 4 * 2 ** 206, expansion ** 4 * 2 ** 8, ell_max
+
+    monkeypatch.setattr(heights, "_series_constants", four_times)
+    for (value, bound, terms), (fine, fine_bound, fine_terms) in zip(proven, estimates(points)):
+        assert abs(value - fine) <= 2.0 ** -70
+        assert (bound, terms) == (fine_bound, fine_terms)
+
+
+def scaled(poly, k, den, degree):
+    """den^degree * poly(k / den), exactly."""
+    return sum(c * k ** i * den ** (degree - i) for i, c in enumerate(poly))
+
+
+def derivative(poly):
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+@pytest.mark.parametrize("curve", [load_fixture(str(FIXTURES / f"{name}.fixture")).curve
+                                    for name in SHIPPED] + [WeierstrassCurve(*LARGE_COEFFICIENTS)],
+                         ids=SHIPPED + ["large"])
+def test_series_constants_bound_the_sampled_slopes(curve):
+    # at t = k/64 on |t| <= 9/4, in each chart, on the branch the rule picks:
+    # |d(w/D)/dt| <= expansion and |D'/D| <= lipschitz, in exact arithmetic
+    charts, lipschitz, expansion, _ = heights._series_constants(curve)
+    den = 64
+    for sign, (z, w) in zip((1, -1), charts):
+        branch = [zi + sign * wi for zi, wi in zip(z, w)]
+        for k in range(-9 * den // 4, 9 * den // 4 + 1):
+            z_t, w_t = scaled(z, k, den, 4), scaled(w, k, den, 4)
+            d = z if abs(w_t) <= 2 * abs(z_t) else branch
+            d_t, dd_t = scaled(d, k, den, 4), scaled(derivative(d), k, den, 3)
+            dw_t = scaled(derivative(w), k, den, 3)
+            assert den * abs(dw_t * d_t - w_t * dd_t) <= expansion * d_t * d_t
+            assert den * abs(dd_t) <= lipschitz * abs(d_t)
+
+
+def test_series_drops_at_least_twelve_fewer_bits_a_step():
+    # one power of the floor, not two: 65a's step is 21 bits (36 with the
+    # squared bound), and every shipped fixture saves at least 12
+    curve = load_fixture(str(FIXTURES / "65a.fixture")).curve
+    assert math.log2(heights._series_constants(curve)[2]) <= 22
+    for name in SHIPPED:
+        curve = load_fixture(str(FIXTURES / f"{name}.fixture")).curve
+        step = heights._log2_ceil(heights._series_constants(curve)[2])
+        assert heights._log2_ceil(series_constants_reference(curve)[2]) - step >= 12

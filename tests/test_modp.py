@@ -701,3 +701,32 @@ def test_sqrt_mod_matches_brute_force(p):
     sample = residues if p < 1000 else random.Random(p).sample(residues, 3000) + [1, p - 1]
     for a in sample:
         assert _sqrt_mod(a, p) ** 2 % p == a
+
+
+def test_bsgs_told_the_order_spends_fewer_group_operations(monkeypatch):
+    # order3's sweep to 10^4 solves logs in <r> of order 3^k; told ord(r),
+    # _bsgs settles ord(r) = 3 from r alone instead of finding 3r = O again.
+    # Each chord or tangent step takes one inverse, pow(v, -1, p).
+    fixture = load_fixture(str(FIXTURES / "order3.fixture"))
+
+    def sweep_and_count():
+        inverses = 0
+
+        def counting_pow(base, exp, mod=None):
+            nonlocal inverses
+            inverses += exp == -1
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(modp, "pow", counting_pow, raising=False)
+        result = lang_trotter_sweep(fixture.p, fixture.q, 10 ** 4, keep_primes=True)
+        monkeypatch.delattr(modp, "pow")
+        return result, inverses
+
+    told, told_inverses = sweep_and_count()
+    real_bsgs = modp._bsgs
+    monkeypatch.setattr(modp, "_bsgs", lambda p, big_a, b, target, lo, hi, order=None:
+                        real_bsgs(p, big_a, b, target, lo, hi))
+    untold, untold_inverses = sweep_and_count()
+    assert told == untold
+    assert told_inverses < untold_inverses
+
