@@ -148,7 +148,9 @@ def bad_set(q_point: Point, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> BadPr
 
 
 def strip_shared_primes(value: int, other: int) -> int:
-    """Divide out of ``value`` every prime it shares with ``other``, completely."""
+    """Divide out of ``value`` (>= 1) every prime it shares with ``other``, completely."""
+    if value < 1:
+        raise ValueError(f"strip_shared_primes needs value >= 1, got {value}")
     g = gcd(value, other)
     while g > 1:
         value //= g
@@ -192,7 +194,7 @@ def primitive_report(
     prime factor of the primitive part found within the budget; if nothing
     splits, the part itself still witnesses that primitive divisors exist.
     """
-    return _report(term, part, Factorization() if part == 1 else factorize(part, factor_budget))
+    return _report(term, part, factorize(part, factor_budget))
 
 
 def _report(term: DenomTerm, part: int, fac: Factorization) -> PrimitiveDivisorReport:

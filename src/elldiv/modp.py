@@ -139,28 +139,18 @@ def _neg(cp, a):
     return (x, (-y - cp.a1 * x - cp.a3) % cp.p)
 
 def _add(cp, a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    p = cp.p
-    a1, a2, a3, a4, a6 = cp.a1, cp.a2, cp.a3, cp.a4, cp.a6
-    x1, y1 = a
-    x2, y2 = b
+    if a is None or b is None:
+        return b if a is None else a
+    p, a1, a2, a3 = cp.p, cp.a1, cp.a2, cp.a3
+    (x1, y1), (x2, y2) = a, b
     if x1 == x2:
         if (y1 + y2 + a1 * x1 + a3) % p == 0:
             return None
-        den = (2 * y1 + a1 * x1 + a3) % p
-        inv = pow(den, -1, p)
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv % p
-        mu = (-(x1 ** 3) + a4 * x1 + 2 * a6 - a3 * y1) * inv % p
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + cp.a4 - a1 * y1) * pow(2 * y1 + a1 * x1 + a3, -1, p) % p
     else:
-        inv = pow(x2 - x1, -1, p)
-        lam = (y2 - y1) * inv % p
-        mu = (y1 * x2 - y2 * x1) * inv % p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
-    y3 = (-(lam + a1) * x3 - mu - a3) % p
-    return (x3, y3)
+    return x3, (lam * (x1 - x3) - y1 - a1 * x3 - a3) % p
 
 def _mul(cp, k, a):
     """k*a by double-and-add over _add."""

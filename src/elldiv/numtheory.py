@@ -138,7 +138,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def _prime_runs(limit: int, segment_size: int):
+def _prime_runs(limit: int):
     # The primes <= limit as ascending runs, one per segment of an odd-only
     # segmented sieve: 2 first, then entry i of the segment from lo stands
     # for lo + 2 i. The odd primes up to isqrt(limit) that strike the
@@ -146,9 +146,9 @@ def _prime_runs(limit: int, segment_size: int):
     if limit < 2:
         return
     yield (2,)
-    base = list(itertools.chain.from_iterable(_prime_runs(math.isqrt(limit), segment_size)))[1:]
-    for lo in range(3, limit + 1, 2 * segment_size):
-        size = min(segment_size, (limit - lo) // 2 + 1)
+    base = list(itertools.chain.from_iterable(_prime_runs(math.isqrt(limit))))[1:]
+    for lo in range(3, limit + 1, 2 * _SEGMENT_SIZE):
+        size = min(_SEGMENT_SIZE, (limit - lo) // 2 + 1)
         hi = lo + 2 * (size - 1)
         seg = bytearray([1]) * size
         for p in base:
@@ -170,7 +170,7 @@ def primes_upto(limit: int) -> list[int]:
     numbers, one byte each. The trial-division table comes from the same
     sieve.
     """
-    return list(itertools.chain.from_iterable(_prime_runs(limit, _SEGMENT_SIZE)))
+    return list(itertools.chain.from_iterable(_prime_runs(limit)))
 
 
 def _pool_map(fn, items: list, workers: int) -> list:
@@ -190,7 +190,7 @@ def _pool_map(fn, items: list, workers: int) -> list:
 def _small_primes() -> array:
     # primes up to the trial-division bound, sieved once per process into
     # 4-byte entries; no list of them is ever built
-    runs = _prime_runs(TRIAL_DIVISION_BOUND, _SEGMENT_SIZE)
+    runs = _prime_runs(TRIAL_DIVISION_BOUND)
     return array("I", itertools.chain.from_iterable(runs))
 
 
@@ -202,9 +202,11 @@ def _chunk_product(start: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest k with p^k dividing n (n nonzero)."""
+    """Largest k with p^k dividing n (n nonzero, p >= 2)."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     n = abs(n)
     k = 0
     while n % p == 0:

@@ -115,22 +115,22 @@ class Point:
         if other.is_identity:
             return self
         c = self.curve
-        a1, a2, a3, a4, a6 = c.a1, c.a2, c.a3, c.a4, c.a6
+        a1, a2, a3 = c.a1, c.a2, c.a3
         x1, y1 = self.x, self.y
         x2, y2 = other.x, other.y
         if x1 == x2:
             if y1 + y2 + a1 * x1 + a3 == 0:
                 return Point(c)
             # same point with nonvanishing tangent denominator: doubling
-            den = 2 * y1 + a1 * x1 + a3
-            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-            mu = (-(x1 ** 3) + a4 * x1 + 2 * a6 - a3 * y1) / den
+            lam = (3 * x1 * x1 + 2 * a2 * x1 + c.a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
         else:
             lam = (y2 - y1) / (x2 - x1)
-            mu = (y1 * x2 - y2 * x1) / (x2 - x1)
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        y3 = -(lam + a1) * x3 - mu - a3
-        return Point(c, x3, y3)
+        # the line y = lam x + (y1 - lam x1) passes through both operands
+        # (AEC III.2.3), so y3 may come from either: take the cheaper one
+        if x2.denominator < x1.denominator:
+            x1, y1 = x2, y2
+        return Point(c, x3, lam * (x1 - x3) - y1 - a1 * x3 - a3)
 
     def __sub__(self, other: "Point") -> "Point":
         return self + (-other)
@@ -141,13 +141,10 @@ class Point:
         if n < 0:
             return (-self) * (-n)
         acc = Point(self.curve)
-        add = self
-        while n:
-            if n & 1:
-                acc = acc + add
-            n >>= 1
-            if n:
-                add = add + add
+        for bit in bin(n)[2:]:
+            acc = acc + acc
+            if bit == "1":
+                acc = acc + self
         return acc
 
     __rmul__ = __mul__

@@ -4,7 +4,9 @@ Group arithmetic here goes through the completed-square model
 y'^2 = x^3 + (b2/4) x^2 + (b4/2) x + (b6/4) with y' = y + (a1 x + a3)/2,
 a deliberately different formula route from the library's chord-tangent
 code on the general and the short model, so agreement is a meaningful dual
-check. The mod p membership route at the end is the exception: it is the
+check. ``intercept_form_add`` is the textbook step (Silverman, AEC III.2.3)
+that forms the line's intercept nu, which the library's steps no longer
+compute. The mod p membership route at the end is the exception: it is the
 smallest-multiple BSGS that the library's ± search replaced, on modp's
 general addition, so it never passes through the short model.
 """
@@ -113,6 +115,39 @@ class ShortModelCurve:
                 raise RuntimeError("hit the identity")
             out.append((current[0].numerator, current[0].denominator))
         return out
+
+
+def intercept_form_add(coeffs, a, b, p=None):
+    """a + b on the general model y = lam x + nu, as AEC III.2.3 writes it out.
+
+    Over Q when p is None (Fraction coordinates), else mod p with reduced
+    coordinates. None is the identity. x3 = lam^2 + a1 lam - a2 - x1 - x2
+    and y3 = -(lam + a1) x3 - nu - a3, where a tangent has
+    nu = (-x^3 + a4 x + 2 a6 - a3 y) / (2y + a1 x + a3) and a chord
+    nu = (y1 x2 - y2 x1) / (x2 - x1).
+    """
+    if a is None or b is None:
+        return b if a is None else a
+    a1, a2, a3, a4, a6 = coeffs
+
+    def reduced(v):
+        return v if p is None else v % p
+
+    def quotient(num, den):
+        return Fraction(num) / den if p is None else num * pow(den, -1, p) % p
+
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2:
+        if reduced(y1 + y2 + a1 * x1 + a3) == 0:
+            return None
+        den = 2 * y1 + a1 * x1 + a3
+        lam = quotient(3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1, den)
+        nu = quotient(-x1 ** 3 + a4 * x1 + 2 * a6 - a3 * y1, den)
+    else:
+        lam = quotient(y2 - y1, x2 - x1)
+        nu = quotient(y1 * x2 - y2 * x1, x2 - x1)
+    x3 = reduced(lam * lam + a1 * lam - a2 - x1 - x2)
+    return x3, reduced(-(lam + a1) * x3 - nu - a3)
 
 
 def torsion_scan(curve, pt, bound=16):

@@ -23,6 +23,7 @@ from elldiv.denominators import (
     primitive_parts,
     primitive_report,
     primitive_reports,
+    strip_shared_primes,
 )
 from elldiv.modp import reduce_curve, reduce_point
 from elldiv.numtheory import factorize, primes_upto, valuation
@@ -32,6 +33,14 @@ from _oracles import CURVES, ShortModelCurve, curve_points, strip_history, trial
 D37_FIRST_TEN = [1, 1, 1, 1, 4, 1, 9, 25, 49, 16]
 D65_FIRST_TEN = [1, 4, 25, 289, 11881, 498436, 90801841, 22217989249,
                  12003349222225, 19929760024531204]
+
+
+def test_strip_shared_primes_rejects_a_value_below_one():
+    assert strip_shared_primes(360, 6) == 5
+    # 0 shares every prime with m > 1, and dividing it by them leaves 0
+    for value, other in [(0, 6), (0, 2), (-4, 6)]:
+        with pytest.raises(ValueError):
+            strip_shared_primes(value, other)
 
 
 def test_denom_term_examples(e37, p37, p65, q65):

@@ -130,6 +130,15 @@ def test_siegel_ratio_examples(p37):
         siegel_ratio(2 * p37 - 2 * p37, 2)
 
 
+def test_local_heights_reject_a_place_below_two(p37):
+    five = 5 * p37                                       # x = 1/4, nonzero height
+    for place in (1, -1):
+        with pytest.raises(ValueError):
+            local_height_exponent(five, place)
+        with pytest.raises(ValueError):
+            siegel_ratio(five, place)
+
+
 @pytest.mark.parametrize("fixture_names", [("p37", None), ("p65", "q65")])
 def test_siegel_ratios_trend_to_zero(fixture_names, request, e37):
     p_name, q_name = fixture_names

@@ -16,6 +16,7 @@ from _oracles import (
     curve_points,
     discrete_log_reference,
     fp_mul,
+    intercept_form_add,
     order_from_multiple_reference,
     random_point,
     sqrt_mod,
@@ -730,3 +731,18 @@ def test_bsgs_told_the_order_spends_fewer_group_operations(monkeypatch):
     assert told == untold
     assert told_inverses < untold_inverses
 
+
+@pytest.mark.parametrize("name", ["37a", "65a", "order4"])
+def test_general_addition_matches_the_intercept_form(name):
+    coeffs = CURVES[name][0]
+    a1, a2, a3, a4, a6 = coeffs
+    curve = WeierstrassCurve(*coeffs)
+    for p in (2, 3, 5, 7, 11, 13, 17, 29):
+        if curve.discriminant % p == 0:
+            continue
+        cp = reduce_curve(curve, p)
+        points = [None] + [(x, y) for x in range(p) for y in range(p)
+                           if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % p == 0]
+        for a in points:
+            for b in points:
+                assert modp._add(cp, a, b) == intercept_form_add(coeffs, a, b, p), (p, a, b)

@@ -78,9 +78,10 @@ def test_primes_upto_one_million():
     assert table.tolist() == primes_upto(TRIAL_DIVISION_BOUND) == primes
 
 
-def test_primes_upto_segmentation_boundaries():
+def test_primes_upto_segmentation_boundaries(monkeypatch):
     def sieved(limit, size):
-        return list(itertools.chain.from_iterable(_prime_runs(limit, size)))
+        monkeypatch.setattr(numtheory, "_SEGMENT_SIZE", size)
+        return list(itertools.chain.from_iterable(_prime_runs(limit)))
 
     # force several segments to make sure the stitching is seamless
     assert sieved(10 ** 4, 64) == simple_sieve(10 ** 4)
@@ -135,6 +136,13 @@ def test_valuation():
     assert valuation(-8, 2) == 3
     with pytest.raises(ValueError):
         valuation(0, 2)
+
+
+@pytest.mark.parametrize("p", [1, -1, 0, -2])
+def test_valuation_rejects_a_base_below_two(p):
+    # p = 1 or -1 divides every n, so dividing it out would never stop
+    with pytest.raises(ValueError):
+        valuation(48, p)
 
 
 def test_divisor_count():

@@ -9,7 +9,7 @@ from elldiv.rational_ec import (
     WeierstrassCurve,
     torsion_order,
 )
-from _oracles import ShortModelCurve, torsion_scan
+from _oracles import CURVES, ShortModelCurve, curve_points, intercept_form_add, torsion_scan
 
 
 def test_curve_invariants_37():
@@ -92,6 +92,30 @@ def test_multiples_match_short_model_oracle(coeffs, start):
             assert got.is_identity
         else:
             assert (got.x, got.y) == want
+
+
+def _affine(pt):
+    return None if pt.is_identity else (pt.x, pt.y)
+
+
+# 37a, 65a, and order4, whose model has a1, a2 and a3 all nonzero
+@pytest.mark.parametrize("name", ["37a", "65a", "order4"])
+def test_addition_matches_the_intercept_form(name):
+    p_point, q_point = curve_points(name)
+    points = {p_point.curve.identity(), q_point}
+    for n in range(1, 7):
+        for pt in (n * p_point, n * p_point + q_point):
+            points |= {pt, -pt}
+    # every ordered pair: chords, tangents (a + a), a + (-a) and O, with y3
+    # read off the second operand when its x-denominator is smaller, else
+    # off the first
+    arms = set()
+    for a in points:
+        for b in points:
+            assert _affine(a + b) == intercept_form_add(CURVES[name][0], _affine(a), _affine(b))
+            if not (a.is_identity or b.is_identity or a.x == b.x):
+                arms.add(b.x.denominator < a.x.denominator)
+    assert arms == {False, True}
 
 
 def test_closure_under_group_law(p37, p65, q65):
