@@ -362,8 +362,7 @@ def siegel_ratios(point: Point, places: list[int | None]) -> list[float]:
     if point.is_identity:
         raise IdentityPointError("the identity has no height to share")
     total = naive_height(point)
-    if total == 0.0:
-        return [0.0] * len(places)
-    return [(archimedean_local_height(point) if place is ARCHIMEDEAN
-             else local_height_exponent(point, place) * math.log(place)) / total
-            for place in places]
+    # every place is evaluated, and so checked, even when the height is 0
+    local = [archimedean_local_height(point) if place is ARCHIMEDEAN
+             else local_height_exponent(point, place) * math.log(place) for place in places]
+    return [v / total if total else 0.0 for v in local]

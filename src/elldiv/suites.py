@@ -1,11 +1,12 @@
 """Named invariant suites behind the ``verify`` CLI command.
 
-Each suite takes the fixture's points and ``stream``, a callable that
-returns the terms D_1 ... D_40 of x(nP+Q); ``run_suite`` builds that list
-at most once, and only when a suite calls it. Each suite returns a list of
-check results; all checks are deterministic for a given fixture. These
-are smaller, faster cousins of the full test suite, meant to validate a
-user-supplied fixture rather than the library itself.
+Each suite takes the fixture's points and ``stream``: ``stream(T)`` returns
+the terms 1 ... 40 of x(nP+T), so ``stream(Q)`` gives D_1 ... D_40 and
+``stream(O)`` the untranslated orbit nP with its B_n. ``run_suite`` builds
+each list at most once, and only when a suite calls for it. Each suite
+returns a list of check results; all checks are deterministic for a given
+fixture. These are smaller, faster cousins of the full test suite, meant to
+validate a user-supplied fixture rather than the library itself.
 
 Two checks rest on a theorem and factor nothing, so they cover every
 prime. ``parity.even_valuations``: on an integral model every affine
@@ -73,12 +74,13 @@ def suite_group(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
 def suite_heights(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     results = []
     # the stream rejects a torsion P, whose height of 0 would divide by zero below
-    terms = stream()
+    terms = stream(q_point)
+    orbit = [t.point for t in stream(p_point.curve.identity())]   # orbit[n - 1] = nP
     base = ht.canonical_height(p_point)
 
     # the deviation itself is float round-off, so report it as a share of the
     # proven bound: that figure does not depend on the platform's last bits
-    multiples = {n: ht.canonical_height(n * p_point) for n in range(2, 6)}
+    multiples = {n: ht.canonical_height(orbit[n - 1]) for n in range(2, 6)}
     worst = max(abs(est.value - n * n * base.value) / (est.error_bound + n * n * base.error_bound)
                 for n, est in multiples.items())
     _check(results, "quadraticity", worst <= 1.0, f"max deviation {worst:.2f} of the error bound")
@@ -89,7 +91,7 @@ def suite_heights(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     bound = double.error_bound + 4 * base.error_bound + math.ulp(double.value) + 4 * math.ulp(base.value)
     _check(results, "pairing_self", abs(pair_self - 2 * base.value) <= bound, f"<P,P>={pair_self:.6f}")
     if torsion_order(q_point) is not None:
-        ests = [ht.canonical_height(p_point + q_point), base, ht.canonical_height(q_point)]
+        ests = [ht.canonical_height(terms[0].point), base, ht.canonical_height(q_point)]
         pair_q = ests[0].value - ests[1].value - ests[2].value
         bound = sum(e.error_bound + math.ulp(e.value) for e in ests)
         _check(results, "pairing_torsion_kernel", abs(pair_q) <= bound, f"<P,Q>={pair_q:.2e}")
@@ -111,17 +113,14 @@ def suite_heights(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     _check(results, "siegel_trend", all(max(r[20:]) <= max(r[:20]) for r in ratios),
            f"{len(places)} finite places")
 
-    worst, multiple = 0.0, p_point.curve.identity()
-    for n in range(1, 31):
-        multiple = multiple + p_point
-        worst = max(worst, abs(ht.naive_height(multiple) - 2 * n * n * base.value))
+    worst = max(abs(ht.naive_height(orbit[n - 1]) - 2 * n * n * base.value) for n in range(1, 31))
     _check(results, "height_comparison_bounded", worst < 10.0, f"empirical C_E ~ {worst:.3f}")
     return results
 
 
 def suite_parity(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     results = []
-    terms = stream()
+    terms = stream(q_point)
     odd = [t.n for t in terms if isqrt(t.denominator) ** 2 != t.denominator]
     _check(results, "even_valuations", not odd,
            f"{len(terms) - len(odd)}/{len(terms)} denominators are squares"
@@ -136,7 +135,7 @@ def _primary(value: int, support: int) -> int:
 
 def suite_sequence(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     results = []
-    terms = stream()
+    terms = stream(q_point)
 
     _check(results, "reduced_terms",
            all(gcd(abs(t.numerator), t.denominator) == 1 and t.denominator >= 1 for t in terms))
@@ -146,7 +145,7 @@ def suite_sequence(p_point: Point, q_point: Point, stream) -> list[CheckResult]:
     _check(results, "primitive_part_soundness", sound)
 
     # formal-group law and divisibility hold for the untranslated sequence
-    denoms = [t.denominator for t in dn.denom_sequence(p_point, p_point.curve.identity(), 40)]
+    denoms = [t.denominator for t in stream(p_point.curve.identity())]
     # with r = B_mk / B_m, the law at every good odd p | B_m says that r and k^2
     # have the same part over the primes of B_m that do not divide 2 * disc
     law_ok = True
@@ -225,9 +224,9 @@ SUITES = {
 def run_suite(name: str, p_point: Point, q_point: Point) -> list[CheckResult]:
     if name != "all" and name not in SUITES:
         raise KeyError(name)
-    # built on first call only: group and modp never call it, and must still
-    # run on a fixture whose stream raises (torsion P, nP+Q = O)
-    stream = functools.cache(lambda: list(dn.denom_sequence(p_point, q_point, 40)))
+    # built on a translate's first call only: group and modp never call it, and
+    # must still run on a fixture whose stream raises (torsion P, nP+Q = O)
+    stream = functools.cache(lambda translate: list(dn.denom_sequence(p_point, translate, 40)))
     return [
         CheckResult(f"{suite_name}.{r.name}", r.ok, r.detail)
         for suite_name in (SUITES if name == "all" else [name])

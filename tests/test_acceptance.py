@@ -3,13 +3,15 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Criteria 5 and 7 compare against baselines frozen on the first run
 (the empty exception list and the sweep counts); those baselines must never
-regress.
+regress. The windows of n <= 80 without a primitive divisor on 37a, order2-a,
+order2-full and order3 are frozen beside the 65a list and checked by primitive_parts.
 """
 
 import math
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from elldiv.denominators import (
     omega_product,
     primitive_parts,
 )
+from elldiv.cli import load_fixture
 from elldiv.heights import canonical_height
 from elldiv.modp import (
     group_order,
@@ -35,10 +38,20 @@ from elldiv.numtheory import factorize, primes_upto, valuation
 from elldiv.rational_ec import Point
 from _oracles import ShortModelCurve, strip_history
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
 # frozen on first run (2026-08-08), brute-force orbit-walk oracle agreeing
 # with the library below x = 3000
 SWEEP_65A_BASELINE = {100: 6, 1000: 43, 10000: 334, 100000: 2685}
 EXCEPTION_LIST_65A = []   # n in [2, 60] without a primitive divisor
+# frozen 2026-10-20: n in [1, 80] without a primitive divisor; Q = O on 37a
+# and Q of order 2 or 3 on the others
+NON_PRIMITIVE_WINDOWS = {
+    "37a": [1, 2, 3, 4, 6, 10],
+    "order2-a": [1],
+    "order2-full": [],
+    "order3": [1],
+}
 
 
 def report(number, ok, detail):
@@ -175,6 +188,14 @@ def test_criterion_5_theorem1_exception_list(p65, q65):
     ok = exceptions == EXCEPTION_LIST_65A and oracle_exceptions == EXCEPTION_LIST_65A
     assert report(5, ok, f"exception list {exceptions} == frozen {EXCEPTION_LIST_65A} "
                          f"(oracle agrees: {oracle_exceptions == exceptions})")
+
+
+@pytest.mark.parametrize("name", sorted(NON_PRIMITIVE_WINDOWS))
+def test_frozen_non_primitive_windows(name):
+    fixture = load_fixture(str(FIXTURES / f"{name}.fixture"))
+    missing = [term.n for term, part in primitive_parts(denom_sequence(fixture.p, fixture.q, 80))
+               if part == 1]
+    assert missing == NON_PRIMITIVE_WINDOWS[name]
 
 
 def test_criterion_6_mod_p_suite(e37, e65, p65, q65):

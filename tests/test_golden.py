@@ -24,7 +24,10 @@ of infinite order) and order3 (Q of order 3) ltcount files were written before
 the sweep sent every Q not of order 2 through one discrete-log route. The
 height files, one per shipped fixture, were written before the height
 series' expansion bound went from two powers of its floor to one, which
-changed only the working precision.
+changed only the working precision. The verify files of the other six
+fixtures (order2-a, order2-full, order3 and the three search curves) were
+written before the heights and sequence suites came to read nP from the one
+untranslated term stream, instead of walking and multiplying it themselves.
 """
 
 from pathlib import Path
@@ -58,6 +61,26 @@ def test_cli_output_matches_golden(capsys, monkeypatch, fixture, argv, stem, thr
         monkeypatch.setenv("ELLDIV_THREADS", threads)
     expected = next(GOLDEN.glob(f"{stem}-{fixture}.*")).read_bytes().decode("utf-8")
     code = cli.main([argv[0], str(ROOT / "fixtures" / f"{fixture}.fixture"), *argv[1:]])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+# the other six fixtures' verify files; 37a and 65a run through CASES above
+VERIFY = [(fixture, threads)
+          for fixture in ("order2-a", "order2-full", "order3", "search-a", "search-b", "search-c")
+          for threads in (None, "2")]
+
+
+@pytest.mark.parametrize("fixture,threads", VERIFY,
+                         ids=[fixture + ("" if threads is None else f"-threads-{threads}")
+                              for fixture, threads in VERIFY])
+def test_verify_output_matches_golden(capsys, monkeypatch, fixture, threads):
+    if threads is None:
+        monkeypatch.delenv("ELLDIV_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ELLDIV_THREADS", threads)
+    expected = (GOLDEN / f"verify-all-{fixture}.txt").read_bytes().decode("utf-8")
+    code = cli.main(["verify", str(ROOT / "fixtures" / f"{fixture}.fixture"), "--suite", "all"])
     assert code == 0
     assert capsys.readouterr().out == expected
 

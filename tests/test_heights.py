@@ -139,6 +139,16 @@ def test_local_heights_reject_a_place_below_two(p37):
             siegel_ratio(five, place)
 
 
+def test_siegel_ratios_reject_a_place_below_two_at_height_zero(p37):
+    two = 2 * p37                                        # x = 1, naive height 0
+    assert siegel_ratios(two, [2, ARCHIMEDEAN]) == [0.0, 0.0]
+    for places in ([1], [0], [-1], [2, 1, ARCHIMEDEAN]):
+        with pytest.raises(ValueError):
+            siegel_ratios(two, places)
+    with pytest.raises(ValueError):
+        siegel_ratio(two, 1)
+
+
 @pytest.mark.parametrize("fixture_names", [("p37", None), ("p65", "q65")])
 def test_siegel_ratios_trend_to_zero(fixture_names, request, e37):
     p_name, q_name = fixture_names

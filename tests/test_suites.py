@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from elldiv import denominators, heights, numtheory, suites
+from elldiv import denominators, heights, numtheory, rational_ec, suites
 from elldiv.cli import load_fixture
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -39,25 +39,24 @@ def scaled(terms, n, factor):
 def test_parity_rejects_a_non_square_denominator(name):
     p_point, q_point = points(name)
     terms = list(denominators.denom_sequence(p_point, q_point, 40))
-    assert outcomes(suites.suite_parity(p_point, q_point, lambda: terms))["even_valuations"]
+    assert outcomes(suites.suite_parity(p_point, q_point, lambda _: terms))["even_valuations"]
     corrupted = scaled(terms, 10, 3)
-    assert not outcomes(suites.suite_parity(p_point, q_point, lambda: corrupted))["even_valuations"]
+    assert not outcomes(suites.suite_parity(p_point, q_point, lambda _: corrupted))["even_valuations"]
 
 
 @pytest.mark.parametrize("name,m,k,p", FORMAL_GROUP_CORRUPTIONS)
-def test_formal_group_check_rejects_a_wrong_valuation(monkeypatch, name, m, k, p):
+def test_formal_group_check_rejects_a_wrong_valuation(name, m, k, p):
     p_point, q_point = points(name)
-    terms = list(denominators.denom_sequence(p_point, q_point, 40))
     real = denominators.denom_sequence
     b_m = next(t.denominator for t in real(p_point, p_point.curve.identity(), m) if t.n == m)
     assert b_m % p == 0 and (2 * p_point.curve.discriminant) % p != 0
 
-    def corrupted(p_arg, q_arg, count):
-        out = list(real(p_arg, q_arg, count))
-        return iter(scaled(out, m * k, p) if q_arg.is_identity else out)
+    # the suite reads B_n from the stream's untranslated orbit, so corrupt B_mk there
+    def corrupted(translate):
+        out = list(real(p_point, translate, 40))
+        return scaled(out, m * k, p) if translate.is_identity else out
 
-    monkeypatch.setattr(denominators, "denom_sequence", corrupted)
-    assert not outcomes(suites.suite_sequence(p_point, q_point, lambda: terms))["formal_group_valuations"]
+    assert not outcomes(suites.suite_sequence(p_point, q_point, corrupted))["formal_group_valuations"]
 
 
 @pytest.mark.parametrize("name", ["37a", "65a"])
@@ -93,9 +92,14 @@ def test_local_decomposition_catches_a_wrong_exponent(monkeypatch, shift):
     assert not outcomes(suites.run_suite("heights", *points("65a")))["heights.local_decomposition"]
 
 
-@pytest.mark.parametrize("suite,builds", [("group", 0), ("modp", 0), ("heights", 1),
-                                          ("parity", 1), ("sequence", 1), ("all", 1)])
-def test_run_suite_builds_the_stream_at_most_once(monkeypatch, suite, builds):
+# (suite, builds of the nP+Q stream, builds of the untranslated nP stream)
+BUILDS = [("group", 0, 0), ("modp", 0, 0), ("heights", 1, 1),
+          ("parity", 1, 0), ("sequence", 1, 1), ("all", 1, 1)]
+
+
+@pytest.mark.parametrize("suite,builds,untranslated", BUILDS,
+                         ids=[f"{suite}-{builds}" for suite, builds, _ in BUILDS])
+def test_run_suite_builds_the_stream_at_most_once(monkeypatch, suite, builds, untranslated):
     p_point, q_point = points("65a")
     real = denominators.denom_sequence
     calls = []
@@ -107,6 +111,21 @@ def test_run_suite_builds_the_stream_at_most_once(monkeypatch, suite, builds):
     monkeypatch.setattr(denominators, "denom_sequence", counted)
     suites.run_suite(suite, p_point, q_point)
     assert calls.count(q_point) == builds
+    assert calls.count(p_point.curve.identity()) == untranslated
+
+
+def test_heights_suite_takes_its_multiples_from_the_stream(monkeypatch):
+    # nP for n <= 30 comes from the untranslated stream's additions
+    real, calls = rational_ec.Point.__mul__, []
+
+    def counted(point, n):
+        calls.append(n)
+        return real(point, n)
+
+    monkeypatch.setattr(rational_ec.Point, "__mul__", counted)
+    monkeypatch.setattr(rational_ec.Point, "__rmul__", counted)
+    assert all(outcomes(suites.run_suite("heights", *points("65a"))).values())
+    assert calls == []
 
 
 def test_heights_suite_takes_each_naive_height_once(monkeypatch):
