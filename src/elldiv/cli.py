@@ -6,9 +6,10 @@ precondition violation (torsion P, nP+Q hitting the identity, ...),
 3 verification-suite failure, 4 ``badset`` could not fully factor the
 discriminant within its budget.
 
-ELLDIV_THREADS, an integer >= 1 (default 1), sets the number of worker
-processes for ``ltcount`` and ``primdiv``; it is read here and nowhere in
-the library.
+ELLDIV_THREADS, an integer >= 1 (default 1), sets the number of processes
+that ``ltcount`` and ``primdiv`` work on: this one and ELLDIV_THREADS - 1
+forked ones (none where os.fork is missing); it is read here and nowhere
+in the library.
 
 Fixture grammar (keys separated by newlines or semicolons, # comments):
 

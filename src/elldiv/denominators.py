@@ -208,9 +208,10 @@ def primitive_reports(terms: Iterable[DenomTerm], factor_budget: int = DEFAULT_F
 
     Every report is computed before this returns, so a precondition failure
     in the terms raises before any report exists. The parts are factored on
-    ``workers`` processes, largest first so that the slowest starts earliest;
-    one worker, or a single part, runs in the calling process. The reports do
-    not depend on ``workers``, and no environment setting is read.
+    ``workers`` processes, the calling one and forked ones, each claiming the
+    next part when it is free, largest first so that the slowest starts
+    earliest; one worker, or a single part, runs in the calling process. The
+    reports do not depend on ``workers``, and no environment setting is read.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -635,23 +635,25 @@ def lang_trotter_sweep(
 ) -> OrbitSweepResult:
     """Count primes p <= x, p not dividing disc, with Q mod p in <P mod p>.
 
-    The primes go in ascending chunks of at least 64, about four per worker,
-    to ``workers`` processes; one worker, or a single chunk, runs in the
-    calling process. Per-prime results are independent and merged by
-    commutative counting, so the outcome is identical for every partition.
+    The primes go in eight strided shares per worker (share k holds every
+    shares-th prime from the k-th), with fewer shares where a share would
+    hold fewer than 64 primes. The calling process and workers - 1 forked
+    ones claim the shares one at a time, so a process that starts late or
+    loses its core takes fewer; one worker, or a single share, runs here
+    alone. Per-prime results are independent and merged by commutative
+    counting and sorting, so the outcome is identical for every partition.
     workers must be at least 1; the library reads no environment setting.
     """
     require_infinite_order(p_point)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     primes = primes_upto(x)
-    size = max(64, -(-len(primes) // (4 * workers)))
-    chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
-    results = _pool_map(functools.partial(sweep_primes, p_point, q_point), chunks, workers)
-    # the chunks ascend and keep their order, so the joined lists are sorted
+    shares = max(1, min(8 * workers, len(primes) // 64))
+    results = _pool_map(functools.partial(sweep_primes, p_point, q_point),
+                        [primes[k::shares] for k in range(shares)], workers)
     count = sum(c for c, _, _ in results)
-    members = [p for _, m, _ in results for p in m]
-    skipped = [p for _, _, s in results for p in s]
+    members = sorted(p for _, m, _ in results for p in m)
+    skipped = sorted(p for _, _, s in results for p in s)
 
     log_x = math.log(x) if x >= 2 else 0.0
     ratio = count / math.sqrt(log_x) if log_x > 0 else 0.0

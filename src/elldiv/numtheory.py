@@ -18,6 +18,7 @@ import bisect
 import functools
 import itertools
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 
@@ -175,30 +176,94 @@ def primes_upto(limit: int) -> list[int]:
 
 def _pool_map(fn, items: list, workers: int) -> list:
     # fn over items, returned in list order. The one place that chooses
-    # between this process and a pool: one worker, or fewer than two items,
-    # runs here and never imports multiprocessing. Otherwise the items go to
-    # at most one process each, every one joined before this returns, so
-    # none holds stdout open; a fork pool starts all its workers at once.
-    if workers == 1 or len(items) < 2:
+    # between this process and forked ones: one worker, fewer than two items,
+    # or a platform without os.fork runs here. Otherwise the caller writes
+    # every task index into one pipe as a 4-byte record, forks workers - 1
+    # children that inherit fn and the items (the library starts no thread,
+    # so a fork copies a consistent process), and works too; each process
+    # claims the next task with one 4-byte read until EOF. At most PIPE_BUF
+    # bytes of records go in one write, which is atomic and fits in an empty
+    # pipe, so the write never blocks with no reader yet; more items are
+    # grouped into contiguous tasks. A child pickles its (index, result)
+    # pairs, or its exception, back through its own pipe and leaves by
+    # os._exit, so it never flushes the caller's buffers. Every child is
+    # reaped before this returns or raises, and killed first on an error, so
+    # none holds stdout open.
+    if workers == 1 or len(items) < 2 or not hasattr(os, "fork"):
         return list(map(fn, items))
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    import pickle
+    import select
+
+    tasks = min(len(items), select.PIPE_BUF // 4)
+    bounds = [k * len(items) // tasks for k in range(tasks + 1)]
+    claim_fd, write_fd = os.pipe()
+    os.write(write_fd, b"".join(k.to_bytes(4, "little") for k in range(tasks)))
+    os.close(write_fd)
+
+    def work_share() -> list:
+        done = []
+        while record := os.read(claim_fd, 4):
+            k = int.from_bytes(record, "little")
+            done.extend((i, fn(items[i])) for i in range(bounds[k], bounds[k + 1]))
+        return done
+
+    children = []
+    try:
+        for _ in range(min(workers, tasks) - 1):
+            result_fd, child_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(result_fd)
+                    try:
+                        payload = pickle.dumps((True, work_share()))
+                    except BaseException as exc:
+                        payload = pickle.dumps((False, exc))
+                    with open(child_fd, "wb") as out:
+                        out.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(child_fd)
+            children.append((pid, result_fd))
+        results = [None] * len(items)
+        for i, value in work_share():
+            results[i] = value
+        for _, result_fd in children:
+            with open(result_fd, "rb", closefd=False) as stream:
+                ok, value = pickle.load(stream)
+            if not ok:
+                raise value
+            for i, result in value:
+                results[i] = result
+        return results
+    except BaseException:
+        import signal
+
+        # a child not yet reaped can be signalled, even once it has exited
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claim_fd)
+        for pid, result_fd in children:
+            os.close(result_fd)
+            os.waitpid(pid, 0)
 
 
 @functools.cache
-def _small_primes() -> array:
-    # primes up to the trial-division bound, sieved once per process into
-    # 4-byte entries; no list of them is ever built
-    runs = _prime_runs(TRIAL_DIVISION_BOUND)
+def _small_primes(bits: int = 20) -> array:
+    # the primes up to min(2^bits, TRIAL_DIVISION_BOUND), sieved once per
+    # process and size into 4-byte entries; no list of them is ever built.
+    # The default is the whole trial-division table.
+    runs = _prime_runs(min(1 << bits, TRIAL_DIVISION_BOUND))
     return array("I", itertools.chain.from_iterable(runs))
 
 
 @functools.cache
-def _chunk_product(start: int) -> int:
-    # product of the TRIAL_CHUNK small primes from index start, built on
-    # first use so that factoring small numbers never pays for the table
-    return math.prod(_small_primes()[start : start + TRIAL_CHUNK])
+def _chunk_product(bits: int, start: int) -> int:
+    # product of the (up to) TRIAL_CHUNK primes from index start of the
+    # table _small_primes(bits), built on first use
+    return math.prod(_small_primes(bits)[start : start + TRIAL_CHUNK])
 
 
 def valuation(n: int, p: int) -> int:
@@ -382,8 +447,10 @@ def factorize(n: int, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> Factorizati
     TRIAL_CHUNK consecutive small primes and scans only the chunks that
     share a factor with n (Bernstein, *How to find smooth parts of
     integers*, 2004). It stops at the first chunk whose least prime p has
-    p*p > n, since what is left is then 1 or a prime. Primes are listed in
-    the order found: the small ones ascending, then the rest.
+    p*p > n, since what is left is then 1 or a prime. Below n = 2^38 it
+    sieves only the primes to the least power of two above sqrt(n), at
+    least 2^10, so small inputs never build the whole table. Primes are
+    listed in the order found: the small ones ascending, then the rest.
 
     ``factor_budget`` is shared by every p-1 and rho call on the cofactors of
     n. Each composite cofactor first gets ``_pm1`` if at least _PM1_GATE
@@ -402,11 +469,15 @@ def factorize(n: int, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> Factorizati
         result.factors[n] = 1
         return result
 
-    primes = _small_primes()
+    # the primes up to a power of two above sqrt(n), and at least 2^10: what
+    # is left after them is 1 or a prime. From n = 2^38 on this is the whole
+    # table, which a composite left for p-1 and rho needs.
+    bits = min(20, max(10, math.isqrt(n).bit_length()))
+    primes = _small_primes(bits)
     for start in range(0, len(primes), TRIAL_CHUNK):
         if primes[start] ** 2 > n:
             break
-        shared = math.gcd(n, _chunk_product(start))
+        shared = math.gcd(n, _chunk_product(bits, start))
         for p in primes[start : start + TRIAL_CHUNK]:
             if shared == 1:
                 break

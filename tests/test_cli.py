@@ -1,8 +1,7 @@
-import concurrent.futures
 import csv
 import io
 import json
-import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -274,33 +273,29 @@ def test_primdiv_respects_thread_env(capsys, fixture_path, monkeypatch):
 
 
 def test_a_pool_asks_for_no_more_workers_than_items(capsys, fixture_path, monkeypatch):
-    # a fork pool starts every worker at its first submit, so ELLDIV_THREADS=500
-    # must not ask for 500 processes to factor 4 parts or sweep 3 chunks; the
-    # stand-in pool records its size and maps in this process
-    sizes = []
+    # ELLDIV_THREADS=500 must not fork 500 processes to factor 4 parts or to
+    # sweep 168 primes in two shares of at least 64; the caller works one
+    # part or share itself, so it forks at most one process per other one
+    real_fork = os.fork
+    forks = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     path = fixture_path(FIXTURE_65A)
-    runs = {}
+    runs, counts = {}, {}
     for threads in ("1", "500"):
         monkeypatch.setenv("ELLDIV_THREADS", threads)
-        runs[threads] = [run_cli(capsys, "primdiv", path, "--n", "5"),
-                         run_cli(capsys, "ltcount", path, "--x", "1000", "--keep-primes")]
+        runs[threads], counts[threads] = [], []
+        for argv in (["primdiv", path, "--n", "5"],
+                     ["ltcount", path, "--x", "1000", "--keep-primes"]):
+            before = len(forks)
+            runs[threads].append(run_cli(capsys, *argv))
+            counts[threads].append(len(forks) - before)
     assert runs["500"] == runs["1"] and runs["1"][0][0] == runs["1"][1][0] == 0
-    assert sizes == [4, 3]
+    assert counts == {"1": [0, 0], "500": [3, 1]}
 
 
 def test_primdiv_collision_writes_nothing_for_any_thread_count(capsys, fixture_path, monkeypatch):
@@ -322,7 +317,8 @@ def test_primdiv_leaves_no_worker_behind(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "primdiv", str(ROOT / "fixtures" / "65a.fixture"),
                          "--n", "40", "--factor-budget", "65536")
     assert code == 0
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_is_deterministic(capsys, fixture_path):

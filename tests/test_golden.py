@@ -28,6 +28,10 @@ changed only the working precision. The verify files of the other six
 fixtures (order2-a, order2-full, order3 and the three search curves) were
 written before the heights and sequence suites came to read nP from the one
 untranslated term stream, instead of walking and multiplying it themselves.
+The three Tate normal form fixtures (t4-egg, t6-egg and t5, with Q = (0, 0)
+of order 4, 6 and 5) got their ltcount, verify and height files before the
+worker pool came to fork its processes directly; their sweeps take the
+discrete-log route with a composite or prime t above 3.
 """
 
 from pathlib import Path
@@ -65,9 +69,10 @@ def test_cli_output_matches_golden(capsys, monkeypatch, fixture, argv, stem, thr
     assert capsys.readouterr().out == expected
 
 
-# the other six fixtures' verify files; 37a and 65a run through CASES above
+# the other nine fixtures' verify files; 37a and 65a run through CASES above
 VERIFY = [(fixture, threads)
-          for fixture in ("order2-a", "order2-full", "order3", "search-a", "search-b", "search-c")
+          for fixture in ("order2-a", "order2-full", "order3", "search-a", "search-b", "search-c",
+                          "t4-egg", "t6-egg", "t5")
           for threads in (None, "2")]
 
 
@@ -86,7 +91,8 @@ def test_verify_output_matches_golden(capsys, monkeypatch, fixture, threads):
 
 
 LTCOUNT = [(fixture, threads)
-           for fixture in ("65a", "order2-a", "order2-full", "37a", "search-a", "order3")
+           for fixture in ("65a", "order2-a", "order2-full", "37a", "search-a", "order3",
+                           "t4-egg", "t6-egg", "t5")
            for threads in (None, "2")]
 
 
@@ -108,7 +114,7 @@ def test_ltcount_output_matches_golden(capsys, monkeypatch, fixture, threads):
 
 HEIGHT = [(fixture, threads)
           for fixture in ("37a", "65a", "order2-a", "order2-full", "order3",
-                          "search-a", "search-b", "search-c")
+                          "search-a", "search-b", "search-c", "t4-egg", "t6-egg", "t5")
           for threads in (None, "2")]
 
 

@@ -518,20 +518,39 @@ def test_no_hashlib_after_setup_and_a_pooled_sweep():
     assert _fresh_python(code) == "79 []\n"
 
 
-def test_one_chunk_or_one_worker_starts_no_pool():
-    # 46 primes make one chunk, and one worker runs in this process either way
+def test_pooled_calls_import_no_executor():
+    # the pool forks directly: concurrent.futures and multiprocessing stay unloaded
     code = (
         "import sys\n"
         "import elldiv\n"
         "from elldiv.denominators import denom_sequence, primitive_reports\n"
         "curve = elldiv.WeierstrassCurve(1, 0, 0, -1, 0)\n"
         "p, q = curve.point(1, 0), curve.point(0, 0)\n"
-        "result = elldiv.lang_trotter_sweep(p, q, 200, workers=2)\n"
-        "reports = list(primitive_reports(denom_sequence(p, q, 10), workers=1))\n"
+        "result = elldiv.lang_trotter_sweep(p, q, 2000, workers=2)\n"
+        "reports = primitive_reports(denom_sequence(p, q, 10), workers=2)\n"
         "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
         "print(result.count, len(reports), sorted(loaded))\n"
     )
-    assert _fresh_python(code) == "13 10 []\n"
+    assert _fresh_python(code) == "79 10 []\n"
+
+
+def test_one_chunk_or_one_worker_starts_no_pool():
+    # 46 primes make one share, and one worker runs in this process either
+    # way; os.fork is stubbed to raise, so a fork would fail the run
+    code = (
+        "import os\n"
+        "def no_fork():\n"
+        "    raise AssertionError('forked')\n"
+        "os.fork = no_fork\n"
+        "import elldiv\n"
+        "from elldiv.denominators import denom_sequence, primitive_reports\n"
+        "curve = elldiv.WeierstrassCurve(1, 0, 0, -1, 0)\n"
+        "p, q = curve.point(1, 0), curve.point(0, 0)\n"
+        "result = elldiv.lang_trotter_sweep(p, q, 200, workers=2)\n"
+        "reports = list(primitive_reports(denom_sequence(p, q, 10), workers=1))\n"
+        "print(result.count, len(reports))\n"
+    )
+    assert _fresh_python(code) == "13 10\n"
 
 
 def test_short_model_map_is_an_isomorphism():

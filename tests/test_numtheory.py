@@ -1,7 +1,9 @@
 import bisect
 import itertools
 import math
+import os
 import random
+import time
 from array import array
 
 import pytest
@@ -16,6 +18,7 @@ from elldiv.numtheory import (
     Factorization,
     _brent_rho,
     _pm1,
+    _pool_map,
     _prime_runs,
     _small_primes,
     _strong_lucas_probable_prime,
@@ -186,6 +189,34 @@ def test_factorize_reconstructs_random_inputs():
         assert fac.is_complete, n
         assert fac.value == n
         assert all(is_prime(p) for p in fac.factors)
+
+
+def test_factorize_below_2_to_20_never_sieves_past_2_to_10(monkeypatch):
+    # a small input builds only the primes up to 2^10, not the 10^6 table,
+    # and factors exactly as the whole table does
+    rng = random.Random(20261020)
+    inputs = ([*range(1, 3000), 1021 ** 2, 1019 * 1021, 1013 * 1031, 2 ** 20 - 3, 2 ** 20 - 1]
+              + [rng.randrange(1, 2 ** 20) for _ in range(3000)])
+    want = [factorize_by_prime_loop(n, DEFAULT_FACTOR_BUDGET) for n in inputs]
+    limits = []
+    real_runs = numtheory._prime_runs
+
+    def recording_runs(limit):
+        limits.append(limit)
+        return real_runs(limit)
+
+    monkeypatch.setattr(numtheory, "_prime_runs", recording_runs)
+    _small_primes.cache_clear()
+    numtheory._chunk_product.cache_clear()
+    try:
+        for n, expected in zip(inputs, want):
+            got = factorize(n)
+            assert list(got.factors.items()) == list(expected.factors.items()), n
+            assert got.is_complete, n
+    finally:
+        _small_primes.cache_clear()
+        numtheory._chunk_product.cache_clear()
+    assert limits and max(limits) == 1 << 10
 
 
 def _pm1_primes():
@@ -365,3 +396,87 @@ def test_factorization_value_with_cofactor():
     fac = Factorization({2: 3, 5: 1}, unfactored_cofactor=49)
     assert fac.value == 8 * 5 * 49
     assert not fac.is_complete
+
+
+def _square(v):
+    return v * v
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _wait_for(path):
+    # the caller's share waits until a child has claimed the other item
+    deadline = time.monotonic() + 30
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 40])
+def test_pool_map_returns_results_in_item_order(count, workers):
+    rng = random.Random(count)
+    items = [rng.randrange(10 ** 30) for _ in range(count)]
+    assert _pool_map(_square, items, workers) == [v * v for v in items]
+    _assert_no_child()
+
+
+def test_pool_map_groups_more_items_than_one_pipe_of_records():
+    # 20,000 items are more than the 16,384 4-byte records a 64 KiB pipe holds
+    items = list(range(20_000))
+    assert _pool_map(_square, items, 3) == [v * v for v in items]
+    _assert_no_child()
+
+
+def test_pool_map_runs_serially_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert _pool_map(_square, list(range(5)), 3) == [0, 1, 4, 9, 16]
+
+
+def test_pool_map_raises_a_childs_exception_and_leaves_no_child(tmp_path):
+    caller, claimed = os.getpid(), tmp_path / "claimed"
+
+    def share(i):
+        if os.getpid() != caller:
+            claimed.touch()
+            raise ValueError(f"child share {i}")
+        _wait_for(claimed)
+        return i
+
+    with pytest.raises(ValueError, match=r"^child share [01]$"):
+        _pool_map(share, [0, 1], 2)
+    _assert_no_child()
+
+
+def test_pool_map_raises_the_callers_exception_and_kills_its_children():
+    caller = os.getpid()
+
+    def share(i):
+        if os.getpid() == caller:
+            raise KeyError(f"caller share {i}")
+        time.sleep(60)
+        return i
+
+    start = time.monotonic()
+    with pytest.raises(KeyError, match=r"caller share [01]"):
+        _pool_map(share, [0, 1], 2)
+    # the sleeping child was killed, not waited for
+    assert time.monotonic() - start < 30
+    _assert_no_child()
+
+
+def test_pool_map_raises_when_a_childs_result_cannot_be_pickled(tmp_path):
+    caller, claimed = os.getpid(), tmp_path / "claimed"
+
+    def share(i):
+        if os.getpid() != caller:
+            claimed.touch()
+            return (v for v in range(i))
+        _wait_for(claimed)
+        return i
+
+    with pytest.raises(TypeError, match="pickle"):
+        _pool_map(share, [0, 1], 2)
+    _assert_no_child()
