@@ -31,11 +31,14 @@ e_i of f in F_p give the class of a point in E(F_p)/2E(F_p), the complete
 2-descent or reduced Tate pairing (AEC X.1; Miret, Moreno, Rio and Valls,
 Math. Comp. 74, 2005). The classes of the points of order 2 tell which of
 them are doubles, and so decide most primes from the class of P alone.
-At the rest they prove that 4, 8 or 16 divides #E(F_p): Z/4 lies in
-E(F_p) when the 2-Sylow is cyclic and Q is a double, Z/4 x Z/2 when one
-point of order 2 is a double, and Z/4 x Z/4 when all three are. There the
-search for M steps by that power of 2, and Q is in <P> exactly when
-doubling the 2-part uP, u the odd part of M, ends at Q.
+Where the 2-Sylow is cyclic and P and Q are both doubles, P and Q are
+halved in lockstep, x only, through the 2-isogeny with kernel {O, Q} (AEC
+III.4.5, X.4.9), and Q is in <P> exactly when P's chain of halves in
+2E(F_p) is no longer than Q's. At the rest the characters prove that 8 or
+16 divides #E(F_p): Z/4 x Z/2 lies in E(F_p) when one point of order 2 is
+a double, and Z/4 x Z/4 when all three are. There the search for M steps
+by that power of 2, and Q is in <P> exactly when doubling the 2-part uP,
+u the odd part of M, ends at Q.
 
 Group orders come from exhaustive counting for p <= 229. Above that
 they come from BSGS orders of random points on E and on its quadratic
@@ -228,11 +231,11 @@ def _short_mul(p, A, k, a):
 
 
 def _sqrt_mod(a, p):
-    """A square root of a nonzero quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
+    """A square root of a quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
     s = ((p - 1) & (1 - p)).bit_length() - 1        # p - 1 = q 2^s with q odd
     q = (p - 1) >> s
     x, t = pow(a, (q + 1) // 2, p), pow(a, q, p)    # x^2 = a t, t of order 2^i, i < s
-    if t == 1:
+    if t <= 1:                                      # t = 0 exactly when a = 0 mod p, and x = 0
         return x
     z = 2
     while pow(z, (p - 1) // 2, p) == 1:
@@ -463,6 +466,30 @@ def point_order(point: FpPoint) -> int:
     return _order_from_multiple(*_to_short(cp, point._tuple()))
 
 
+def _half_x(p, alpha, beta, u):
+    """x(S) - e for a half S of a point R != O of 2E(F_p), from u = x(R) - e.
+
+    Shifting x by the root e of the cubic gives y^2 = u (u^2 + alpha u + beta),
+    with alpha = 3e and beta = g(e), and g must have no root in F_p.
+    Doubling is the 2-isogeny phi with kernel {O, Q} onto
+    Y^2 = X (X^2 - 2 alpha X + alpha^2 - 4 beta) followed by its dual, which
+    takes a point at X to one at u = (X^2 - 2 alpha X + alpha^2 - 4 beta) / 4X
+    (AEC III.4.5).
+    So phi(S) has X = alpha + 2u +- 2w with w^2 = u^2 + alpha u + beta. The
+    two X multiply to alpha^2 - 4 beta = disc g, a non-square, so exactly one
+    is a square, and only a square X is phi of a point of E(F_p) (AEC
+    X.4.9). Its preimages S and S + Q have x - e the two roots of
+    u^2 + (alpha - X) u + beta.
+    """
+    h = (p - 1) // 2
+    w = _sqrt_mod((u * u + alpha * u + beta) % p, p)
+    big_x = (alpha + 2 * u + 2 * w) % p
+    if pow(big_x, h, p) != 1:
+        big_x = (alpha + 2 * u - 2 * w) % p
+    d = big_x - alpha
+    return (d + _sqrt_mod((d * d - 4 * beta) % p, p)) * (h + 1) % p     # h + 1 = 1/2 mod p
+
+
 def _order_two_member(p, A, a, e):
     """Whether Q = (e, 0) lies in <a> on y^2 = x^3 + Ax + B mod a good p >= 5.
 
@@ -474,7 +501,13 @@ def _order_two_member(p, A, a, e):
     - chi(disc g) = -1: E(F_p)[2] = {O, Q}, so the 2-Sylow is cyclic. a
       outside 2E makes its 2-part a generator, so Q is in <a>; a in 2E and
       Q outside 2E make the 2-Sylow {O, Q} and ord(a) odd, so Q is not.
-      With Q in 2E, Z/4 lies in E(F_p) and the walk steps by 4.
+      With both in 2E the 2-Sylow is Z/2^k, k >= 2, and a and Q halve in
+      lockstep (_half_x), a first, until a half leaves 2E. Let v(R) be the
+      2-adic valuation of R's coordinate on Z/2^k, k when it is 0. Every
+      half of R with v(R) < k has valuation v(R) - 1, so R's chain of
+      halves in 2E is v(R) long; Q has v = k - 1, and Q is in <a> exactly
+      when v(a) <= k - 1. An a with v(a) = k may pick halves of valuation
+      k - 1, but its chain is then at least k long, still longer than Q's.
     - chi(disc g) = 1: with T = (e2, 0), delta(R) = (chi(x(R) - e),
       chi(x(R) - e2)) maps E/2E onto {1, -1}^2, and the points of order 2
       of class (1, 1) are the doubles D; D and O form a subgroup of E[2],
@@ -487,8 +520,8 @@ def _order_two_member(p, A, a, e):
       of order 2^k on that factor, so Q is in <a>. If not, Q is no double,
       so it can only be the 2-part of a itself, of class delta(Q).
       |D| = 3: E[2] lies in 2E, so Z/4 x Z/4 lies in E(F_p): step 16.
-    Every other prime walks: the odd part u of a multiple of ord(a) from
-    the annihilator, stepped by the proven power of 2, gives the 2-part u*a,
+    The other |D| = 1 and |D| = 3 primes walk: the odd part u of a multiple
+    of ord(a) from the annihilator, stepped by 8 or 16, gives the 2-part u*a,
     which doubles down to the point of order 2 of <a>, if any, in at most
     v_2 of the multiple steps.
     """
@@ -498,13 +531,21 @@ def _order_two_member(p, A, a, e):
     if x == e:                                  # a = Q
         return True
     h = (p - 1) // 2                            # chi(v) = v^h, as 1 or p - 1
-    disc, ge = (-3 * e * e - 4 * A) % p, pow(3 * e * e + A, h, p)
+    disc, beta = (-3 * e * e - 4 * A) % p, (3 * e * e + A) % p
+    ge = pow(beta, h, p)
     if pow(disc, h, p) != 1:
         if pow(x - e, h, p) != 1:
             return True
         if ge != 1:
             return False
-        step = 4
+        ua, uq = x - e, 0
+        while True:
+            ua = _half_x(p, 3 * e, beta, ua)
+            if pow(ua, h, p) != 1:
+                return True
+            uq = _half_x(p, 3 * e, beta, uq)
+            if pow(uq, h, p) != 1:
+                return False
     else:
         r = _sqrt_mod(disc, p)
         e2 = (r - e) * (h + 1) % p              # h + 1 = 1/2 mod p; the third root is e2 - r

@@ -30,6 +30,7 @@ from elldiv.modp import (
     BadReductionError,
     FpPoint,
     _annihilator,
+    _half_x,
     _hasse_interval,
     _order_two_member,
     _short_add,
@@ -652,7 +653,8 @@ def _order_two_route(p, big_a, a, e):
     characters of x - e_i are all 1, the doubles. route is "cyclic" or "full"
     where the characters decide with E(F_p)[2] = {O, Q}, or with a of order
     at most 2 or |D| = 0; "member" or "non-member" where they decide with
-    |D| = 1; else the step of the 2-part walk.
+    |D| = 1; 4 where a and Q halve with E(F_p)[2] = {O, Q}, so that Z/4
+    lies in E(F_p); else the step of the 2-part walk.
     """
     def square(v):
         return pow(v % p, (p - 1) // 2, p) == 1
@@ -681,9 +683,9 @@ def _order_two_route(p, big_a, a, e):
 
 def test_order_two_member_agrees_with_the_oracle_route(modp_calls):
     # at every good 5 <= p <= 3000 the verdict is the oracle's, the route is
-    # the one the characters of x - e_i call for, and a walk's step divides
-    # #E(F_p); each route occurs at least 100 times, and P = O, Q and another
-    # point of order 2 mod p all occur
+    # the one the characters of x - e_i call for, a walk's step divides
+    # #E(F_p), and the halving route (4) walks nothing; each route occurs at
+    # least 100 times, and P = O, Q and another point of order 2 mod p all occur
     steps = modp_calls["_annihilator"]
     routes, reduced_to = {}, {"O": 0, "Q": 0, "T": 0}
     primes = primes_upto(3000)
@@ -702,7 +704,9 @@ def test_order_two_member_agrees_with_the_oracle_route(modp_calls):
             steps.clear()
             verdict = _order_two_member(p, big_a, a, e)
             assert verdict == (p in members), (p_point, p, route)
-            if isinstance(route, int):
+            if route == 4:
+                assert not steps and group_order_by_enumeration(cp) % route == 0, (p_point, p)
+            elif isinstance(route, int):
                 assert steps == [route] and group_order_by_enumeration(cp) % route == 0, (p_point, p)
             else:
                 assert not steps and (route, verdict) not in [("member", False), ("non-member", True)]
@@ -714,11 +718,54 @@ def test_order_two_member_agrees_with_the_oracle_route(modp_calls):
     assert min(reduced_to.values()) >= 1, reduced_to
 
 
+def test_half_x_doubles_back_to_the_point():
+    # at every prime p < 2000 where 65a or order2-a has E(F_p)[2] = {O, Q},
+    # each R = 2S != O (every S up to p = 500, 30 seeded ones above) has a
+    # half at the returned x, lifted with _sqrt_mod; the half from the other
+    # X of phi fails that check at every R, so the check catches the wrong square
+    rng, halved, other_fails = random.Random(27), 0, 0
+    for name in ("65a", "order2-a"):
+        fixture = load_fixture(str(FIXTURES / f"{name}.fixture"))
+        curve = fixture.curve
+        for p in primes_upto(2000)[2:]:
+            if curve.discriminant % p == 0:
+                continue
+            cp = reduce_curve(curve, p)
+            _, big_a, (e, _) = _to_short(cp, reduce_point(fixture.q, cp)._tuple())
+            big_b, h = _short_model(curve)[1] % p, (p - 1) // 2
+            alpha, beta = 3 * e % p, (3 * e * e + big_a) % p
+            if pow(alpha * alpha - 4 * beta, h, p) == 1:
+                continue
+
+            def half_doubles_to(u, r):
+                x = (u + e) % p
+                rhs = (x ** 3 + big_a * x + big_b) % p
+                if pow(rhs, h, p) != 1:
+                    return False
+                half = (x, _sqrt_mod(rhs, p))
+                return _short_add(p, big_a, half, half)[0] == r[0]
+
+            xs = range(p) if p <= 500 else [rng.randrange(p) for _ in range(30)]
+            ss = [(x, root) for x in xs
+                  if (root := sqrt_mod(x ** 3 + big_a * x + big_b, p)) is not None]
+            for r in {_short_add(p, big_a, s, s) for s in ss} - {None}:
+                u = (r[0] - e) % p
+                assert half_doubles_to(_half_x(p, alpha, beta, u), r), (name, p, r)
+                w = _sqrt_mod((u * u + alpha * u + beta) % p, p)
+                other = [big_x for big_x in ((alpha + 2 * u + 2 * w) % p, (alpha + 2 * u - 2 * w) % p)
+                         if pow(big_x, h, p) != 1][0]
+                root = sqrt_mod((other - alpha) ** 2 - 4 * beta, p)
+                other_fails += root is None or not half_doubles_to((other - alpha + root) * (h + 1), r)
+                halved += 1
+    assert halved > 10000 and other_fails == halved, (halved, other_fails)
+
+
 @pytest.mark.parametrize("p", [103, 101, 97, 193, 257, 65537])
 def test_sqrt_mod_matches_brute_force(p):
-    # 103 = 3 mod 4 and 101 = 5 mod 8; the rest are 1 mod 8, 65537 = 2^16 + 1
-    residues = sorted({r * r % p for r in range(1, p)})
-    sample = residues if p < 1000 else random.Random(p).sample(residues, 3000) + [1, p - 1]
+    # 103 = 3 mod 4 and 101 = 5 mod 8; the rest are 1 mod 8, 65537 = 2^16 + 1;
+    # a = 0 has the root 0
+    residues = sorted({r * r % p for r in range(p)})
+    sample = residues if p < 1000 else random.Random(p).sample(residues, 3000) + [0, 1, p - 1]
     for a in sample:
         assert _sqrt_mod(a, p) ** 2 % p == a
 
