@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .heights import log_int
-from .numtheory import DEFAULT_FACTOR_BUDGET, Factorization, _pool_map, factorize
+from .numtheory import DEFAULT_FACTOR_BUDGET, Factorization, _pool_map, _small_primes, factorize
 from .rational_ec import Point, require_infinite_order, torsion_order
 
 REASON_BAD_REDUCTION = "divides_discriminant"
@@ -218,6 +218,8 @@ def primitive_reports(terms: Iterable[DenomTerm], factor_budget: int = DEFAULT_F
     pairs = list(primitive_parts(terms))
     # parts above 1 are pairwise coprime, so they are distinct keys
     parts = sorted((part for _, part in pairs if part > 1), reverse=True)
+    if workers > 1 and len(parts) > 1 and parts[0] >= 1 << 38:
+        _small_primes(20)       # factorize's whole table from 2^38 on: sieved here, before the fork
     factor = functools.partial(factorize, factor_budget=factor_budget)
     facs = dict(zip(parts, _pool_map(factor, parts, workers)))
     return [(term, _report(term, part, facs.get(part, Factorization()))) for term, part in pairs]

@@ -31,6 +31,10 @@ e_i of f in F_p give the class of a point in E(F_p)/2E(F_p), the complete
 2-descent or reduced Tate pairing (AEC X.1; Miret, Moreno, Rio and Valls,
 Math. Comp. 74, 2005). The classes of the points of order 2 tell which of
 them are doubles, and so decide most primes from the class of P alone.
+chi(disc g), chi(g(e)) and chi(x(P) - e) are characters of three fixed
+integers, which the sweep reads by the residue class of p
+(_fixed_character), and square roots are taken in closed form where p
+allows (_square_root).
 Where the 2-Sylow is cyclic and P and Q are both doubles, P and Q are
 halved in lockstep, x only, through the 2-isogeny with kernel {O, Q} (AEC
 III.4.5, X.4.9), and Q is in <P> exactly when P's chain of halves in
@@ -230,24 +234,81 @@ def _short_mul(p, A, k, a):
         x, y = x3, (lam * (x - x3) - y) % p
 
 
-def _sqrt_mod(a, p):
-    """A square root of a quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
-    s = ((p - 1) & (1 - p)).bit_length() - 1        # p - 1 = q 2^s with q odd
-    q = (p - 1) >> s
-    x, t = pow(a, (q + 1) // 2, p), pow(a, q, p)    # x^2 = a t, t of order 2^i, i < s
-    if t <= 1:                                      # t = 0 exactly when a = 0 mod p, and x = 0
+def _square_root(p):
+    """The map a -> a square root of a mod the odd prime p, for one p.
+
+    p = 3 mod 4 takes a^((p + 1)/4), and p = 5 mod 8 Atkin's a v (2a v^2 - 1)
+    with v = (2a)^((p - 5)/8). p = 1 mod 8 takes Tonelli-Shanks (Cohen,
+    GTM 138, 1.5.1), whose non-residue z, and its power c = z^q with
+    p - 1 = q 2^s, are found here once. Every root is checked by squaring,
+    so a non-square a raises a ValueError naming a and p.
+    """
+    def checked(a, x):
+        if x * x % p != a % p:
+            raise ValueError(f"{a} is not a square mod {p}")
         return x
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
+
+    if p & 3 == 3:
+        k = (p + 1) >> 2
+        return lambda a: checked(a, pow(a, k, p))
+    if p & 7 == 5:
+        k = (p - 5) >> 3
+
+        def atkin(a):
+            v = pow(2 * a, k, p)
+            return checked(a, a * v * (2 * a * v * v - 1) % p)
+        return atkin
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q, z = (p - 1) >> s, 3                          # 2 is a square when p = 1 mod 8
+    while _chi(z, p) == 1:
         z += 1
-    c = pow(z, q, p)                                # of order 2^s
-    while t != 1:
-        i, u = 0, t
-        while u != 1:
-            u, i = u * u % p, i + 1
-        b = pow(c, 1 << (s - i - 1), p)
-        x, c, t, s = x * b % p, b * b % p, t * b * b % p, i
-    return x
+    c0 = pow(z, q, p)                               # of order 2^s
+
+    def tonelli_shanks(a):
+        y = pow(a, (q - 1) // 2, p)
+        x, t, c, m = a * y % p, a * y * y % p, c0, s    # x^2 = a t, t of order 2^i, i < m
+        while t > 1:                                # t = 0 exactly when a = 0 mod p, and x = 0
+            i, u = 0, t
+            while u != 1:
+                u, i = u * u % p, i + 1
+            if i == m:                              # t of order 2^s: a is no square
+                break
+            b = pow(c, 1 << (m - i - 1), p)
+            x, c, t, m = x * b % p, b * b % p, t * b * b % p, i
+        return checked(a, x)
+    return tonelli_shanks
+
+
+def _sqrt_mod(a, p):
+    """A square root of a mod an odd prime p; ValueError when a is no square."""
+    return _square_root(p)(a)
+
+
+def _chi(v, p):
+    """The Legendre symbol (v/p) for v prime to p, as 1 or -1 (Euler's criterion)."""
+    return 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+
+
+def _fixed_character(d):
+    """The map p -> (d/p) at odd primes p, read by residue class, for a fixed d != 0.
+
+    With d = s^2 d0, (d/p) = (d0/p) at p not dividing 2d, and by quadratic
+    reciprocity that depends only on p mod 4|d0| (Ireland and Rosen, ch. 5),
+    so each class pays one pow. |d| is factored at budget 0, so a large d
+    never stalls: an unfactored cofactor stays in d0, which lengthens the
+    period and keeps it correct. At p | d the value means nothing.
+    """
+    fac = factorize(abs(d), 0)
+    core = math.prod(q for q, k in fac.factors.items() if k & 1) * fac.unfactored_cofactor
+    d0, period, seen = core if d > 0 else -core, 4 * core, {}
+
+    def chi(p):
+        key = p % period
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = _chi(d0, p)
+        return value
+    return chi
 
 
 def reduce_curve(curve: WeierstrassCurve, p: int) -> FpCurve:
@@ -271,6 +332,8 @@ def _triple(point: Point):
 
 
 def _reduce_triple(big_x, big_y, z, p):
+    if z == 1:
+        return big_x % p, big_y % p
     if z % p == 0:
         return None
     inv = pow(z, -1, p)
@@ -466,8 +529,10 @@ def point_order(point: FpPoint) -> int:
     return _order_from_multiple(*_to_short(cp, point._tuple()))
 
 
-def _half_x(p, alpha, beta, u):
+def _half_x(p, root, alpha, beta, u):
     """x(S) - e for a half S of a point R != O of 2E(F_p), from u = x(R) - e.
+
+    root is _square_root(p).
 
     Shifting x by the root e of the cubic gives y^2 = u (u^2 + alpha u + beta),
     with alpha = 3e and beta = g(e), and g must have no root in F_p.
@@ -482,19 +547,22 @@ def _half_x(p, alpha, beta, u):
     u^2 + (alpha - X) u + beta.
     """
     h = (p - 1) // 2
-    w = _sqrt_mod((u * u + alpha * u + beta) % p, p)
+    w = root((u * u + alpha * u + beta) % p)
     big_x = (alpha + 2 * u + 2 * w) % p
     if pow(big_x, h, p) != 1:
         big_x = (alpha + 2 * u - 2 * w) % p
     d = big_x - alpha
-    return (d + _sqrt_mod((d * d - 4 * beta) % p, p)) * (h + 1) % p     # h + 1 = 1/2 mod p
+    return (d + root((d * d - 4 * beta) % p)) * (h + 1) % p     # h + 1 = 1/2 mod p
 
 
-def _order_two_member(p, A, a, e):
+def _order_two_member(p, A, a, e, chi_disc, chi_ge, chi_x):
     """Whether Q = (e, 0) lies in <a> on y^2 = x^3 + Ax + B mod a good p >= 5.
 
     f = (x - e) g with g = x^2 + e x + e^2 + A, and chi is the Legendre
-    symbol. R is in 2E(F_p) exactly when x(R) - e_i is a square for every
+    symbol, as 1 or -1. The caller passes chi(disc g), chi(g(e)) and
+    chi(x(a) - e); the last is read only when a is neither O nor Q. The
+    sweep reads all three by residue class of p (_fixed_character).
+    R is in 2E(F_p) exactly when x(R) - e_i is a square for every
     root e_i of f in F_p; at R = (e_i, 0) the product of e_i minus the other
     roots stands in for x(R) - e_i, which is g(e) at R = Q. Q is in <a>
     exactly when it is the point of order 2 in the cyclic 2-part of <a>.
@@ -530,37 +598,41 @@ def _order_two_member(p, A, a, e):
     x = a[0]
     if x == e:                                  # a = Q
         return True
-    h = (p - 1) // 2                            # chi(v) = v^h, as 1 or p - 1
-    disc, beta = (-3 * e * e - 4 * A) % p, (3 * e * e + A) % p
-    ge = pow(beta, h, p)
-    if pow(disc, h, p) != 1:
-        if pow(x - e, h, p) != 1:
+    h = (p - 1) // 2
+    if chi_disc == -1:
+        if chi_x == -1:
             return True
-        if ge != 1:
+        if chi_ge == -1:
             return False
+        root, alpha, beta = _square_root(p), 3 * e, (3 * e * e + A) % p
         ua, uq = x - e, 0
         while True:
-            ua = _half_x(p, 3 * e, beta, ua)
+            ua = _half_x(p, root, alpha, beta, ua)
             if pow(ua, h, p) != 1:
                 return True
-            uq = _half_x(p, 3 * e, beta, uq)
+            uq = _half_x(p, root, alpha, beta, uq)
             if pow(uq, h, p) != 1:
                 return False
     else:
-        r = _sqrt_mod(disc, p)
+        r = _sqrt_mod((-3 * e * e - 4 * A) % p, p)
         e2 = (r - e) * (h + 1) % p              # h + 1 = 1/2 mod p; the third root is e2 - r
         if x == e2 or x == (e2 - r) % p:        # a has order 2 and is not Q
             return False
-        dq, dt = (ge, pow(e - e2, h, p)), (pow(e2 - e, h, p), pow((e2 - e) * r, h, p))
-        da, d3 = (pow(x - e, h, p), pow(x - e2, h, p)), (dq[0] * dt[0] % p, dq[1] * dt[1] % p)
-        doubles = (dq, dt, d3).count((1, 1))
-        if doubles == 0:
-            return da == dq
-        if doubles == 1 and dq == (1, 1) and da not in (dq, dt):    # dt = d3 here
-            return True
-        if doubles == 1 and dq != (1, 1) and da != dq:
-            return False
-        step = 8 if doubles == 1 else 16
+        c = _chi(e - e2, p)
+        c2 = c if p & 3 == 1 else -c            # chi(e2 - e) = chi(-1) chi(e - e2)
+        dq, dt = (chi_ge, c), (c2, c2 * _chi(r, p))
+        doubles = (dq, dt, (dq[0] * dt[0], dq[1] * dt[1])).count((1, 1))
+        if doubles == 3:
+            step = 16
+        elif dq == (1, 1):                      # the one double is Q, and dt = d3
+            if (chi_x, _chi(x - e2, p)) not in (dq, dt):
+                return True
+            step = 8
+        else:                                   # Q is in <a> only as its 2-part: delta(a) = delta(Q)
+            same = chi_x == dq[0] and _chi(x - e2, p) == dq[1]
+            if doubles == 0 or not same:
+                return same
+            step = 8
     m = _annihilator(p, A, a, step)
     v = (m & -m).bit_length() - 1
     b = _short_mul(p, A, m >> v, a)             # the 2-part of a
@@ -648,6 +720,13 @@ def sweep_primes(
     big_a = _short_model(curve)[0]
     p_triple, q_triple = _triple(p_point), _triple(q_point)
     p_short, q_short = _short_triple(curve, *p_triple), _short_triple(curve, *q_triple)
+    if t == 2:
+        # chi(disc g), chi(g(e)) and chi(x(P) - e) are those of fixed integers,
+        # scaled by the squares Z_Q^2 and (Z_P Z_Q)^2, so read by residue class
+        (xp, _, zp), (xq, _, zq) = p_short, q_short
+        chi_disc, chi_ge, chi_x = (_fixed_character(d) for d in (
+            -3 * xq * xq - 4 * big_a * zq * zq, 3 * xq * xq + big_a * zq * zq,
+            (xp * zq - xq * zp) * zp * zq))
     members: list[int] = []
     skipped: list[int] = []
     for p in primes:
@@ -660,8 +739,10 @@ def sweep_primes(
         else:
             # t, when finite, divides #E(F_p), so the annihilator steps by it
             A, pp, qp = big_a % p, _reduce_triple(*p_short, p), _reduce_triple(*q_short, p)
-            member = (_order_two_member(p, A, pp, qp[0]) if t == 2 else
-                      _discrete_log(p, A, pp, qp, t or 1, torsion_primes) is not None)
+            if t == 2:
+                member = _order_two_member(p, A, pp, qp[0], chi_disc(p), chi_ge(p), chi_x(p))
+            else:
+                member = _discrete_log(p, A, pp, qp, t or 1, torsion_primes) is not None
         if member:
             members.append(p)
     return len(members), members, skipped

@@ -251,10 +251,11 @@ def _pool_map(fn, items: list, workers: int) -> list:
 
 
 @functools.cache
-def _small_primes(bits: int = 20) -> array:
+def _small_primes(bits: int) -> array:
     # the primes up to min(2^bits, TRIAL_DIVISION_BOUND), sieved once per
     # process and size into 4-byte entries; no list of them is ever built.
-    # The default is the whole trial-division table.
+    # bits = 20 is the whole trial-division table. Every caller passes bits,
+    # since the cache would key a default apart from an explicit 20.
     runs = _prime_runs(min(1 << bits, TRIAL_DIVISION_BOUND))
     return array("I", itertools.chain.from_iterable(runs))
 
@@ -387,7 +388,7 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
 @functools.cache
 def _pm1_exponent() -> int:
     # lcm(1..B1) as the product of the largest power of each prime p <= B1
-    primes = _small_primes()
+    primes = _small_primes(20)
     exponent = 1
     for p in primes[: bisect.bisect_right(primes, _PM1_B1)]:
         power = p
@@ -421,7 +422,7 @@ def _pm1(n: int) -> tuple[int | None, int]:
     for _ in range(_PM1_STRIDE):
         powers.append(powers[-1] * x % n)
     step = powers[_PM1_STRIDE]
-    primes = _small_primes()
+    primes = _small_primes(20)
     first = bisect.bisect_right(primes, _PM1_B1)
     top = (primes[first] // _PM1_STRIDE + 1) * _PM1_STRIDE
     x_top = pow(x, top, n)

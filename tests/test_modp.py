@@ -30,6 +30,7 @@ from elldiv.modp import (
     BadReductionError,
     FpPoint,
     _annihilator,
+    _fixed_character,
     _half_x,
     _hasse_interval,
     _order_two_member,
@@ -37,6 +38,7 @@ from elldiv.modp import (
     _short_model,
     _short_mul,
     _sqrt_mod,
+    _square_root,
     _to_short,
     _triple,
     group_order,
@@ -48,7 +50,7 @@ from elldiv.modp import (
     reduce_point,
     sweep_primes,
 )
-from elldiv.numtheory import primes_upto
+from elldiv.numtheory import factorize, primes_upto
 from elldiv.rational_ec import SingularCurveError, TorsionPointError, WeierstrassCurve, torsion_order
 
 # 65a member primes up to 200; cross-checked against the orbit-walk oracle
@@ -65,6 +67,11 @@ def _fresh_python(code, **env):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, **env, "PYTHONPATH": path}, check=True)
     return done.stdout
+
+
+def _euler(v, p):
+    """The Legendre symbol (v/p) by Euler's criterion, as 1 or -1 (-1 at p | v)."""
+    return 1 if pow(v % p, (p - 1) // 2, p) == 1 else -1
 
 
 def orbit_walk_member(cp, p_reduced, q_reduced):
@@ -554,6 +561,33 @@ def test_one_chunk_or_one_worker_starts_no_pool():
     assert _fresh_python(code) == "13 10\n"
 
 
+def test_pooled_primitive_reports_sieve_the_trial_table_once(tmp_path):
+    # 65a's parts to n = 40 reach 2^38, where factorize needs the whole 10^6
+    # table: at 2 workers the caller sieves it once, before the fork, and the
+    # forked child inherits it. Each 10^6 sieve writes its pid to a file.
+    log = tmp_path / "sieves"
+    code = (
+        "import os\n"
+        "from elldiv import numtheory\n"
+        "from elldiv.cli import load_fixture\n"
+        "from elldiv.denominators import denom_sequence, primitive_reports\n"
+        "real = numtheory._prime_runs\n"
+        "def runs(limit):\n"
+        "    if limit == numtheory.TRIAL_DIVISION_BOUND:\n"
+        f"        with open({str(log)!r}, 'a') as out:\n"
+        "            out.write(f'{os.getpid()}\\n')\n"
+        "    return real(limit)\n"
+        "numtheory._prime_runs = runs\n"
+        f"fixture = load_fixture({str(FIXTURES / '65a.fixture')!r})\n"
+        "terms = list(denom_sequence(fixture.p, fixture.q, 40))\n"
+        "two = primitive_reports(terms, 65536, workers=2)\n"
+        "print(os.getpid(), two == primitive_reports(terms, 65536, workers=1))\n"
+    )
+    pid, same = _fresh_python(code).split()
+    assert same == "True"
+    assert log.read_text().split() == [pid]
+
+
 def test_short_model_map_is_an_isomorphism():
     # random curves with a1 and a3 nonzero, at good primes 5 <= p <= 2*10^5
     rng = random.Random(20261019)
@@ -702,7 +736,9 @@ def test_order_two_member_agrees_with_the_oracle_route(modp_calls):
             route, roots, doubles = _order_two_route(p, big_a, a, e)
             assert zero == 0 and len(doubles) in (0, 1, 3), (p_point, p)
             steps.clear()
-            verdict = _order_two_member(p, big_a, a, e)
+            chi = [_euler(v, p) for v in
+                   (-3 * e * e - 4 * big_a, 3 * e * e + big_a, a[0] - e if a else 0)]
+            verdict = _order_two_member(p, big_a, a, e, *chi)
             assert verdict == (p in members), (p_point, p, route)
             if route == 4:
                 assert not steps and group_order_by_enumeration(cp) % route == 0, (p_point, p)
@@ -750,7 +786,7 @@ def test_half_x_doubles_back_to_the_point():
                   if (root := sqrt_mod(x ** 3 + big_a * x + big_b, p)) is not None]
             for r in {_short_add(p, big_a, s, s) for s in ss} - {None}:
                 u = (r[0] - e) % p
-                assert half_doubles_to(_half_x(p, alpha, beta, u), r), (name, p, r)
+                assert half_doubles_to(_half_x(p, _square_root(p), alpha, beta, u), r), (name, p, r)
                 w = _sqrt_mod((u * u + alpha * u + beta) % p, p)
                 other = [big_x for big_x in ((alpha + 2 * u + 2 * w) % p, (alpha + 2 * u - 2 * w) % p)
                          if pow(big_x, h, p) != 1][0]
@@ -768,6 +804,71 @@ def test_sqrt_mod_matches_brute_force(p):
     sample = residues if p < 1000 else random.Random(p).sample(residues, 3000) + [0, 1, p - 1]
     for a in sample:
         assert _sqrt_mod(a, p) ** 2 % p == a
+
+
+@pytest.mark.parametrize("p", [103, 101, 97])
+def test_sqrt_mod_names_a_non_residue(p):
+    # one prime of each route: 3 mod 4, 5 mod 8 and 1 mod 8
+    residues = {r * r % p for r in range(p)}
+    for a in sorted(set(range(p)) - residues):
+        with pytest.raises(ValueError, match=f"^{a} is not a square mod {p}$"):
+            _sqrt_mod(a, p)
+    assert _sqrt_mod(0, p) == 0
+
+
+def test_fixed_characters_follow_eulers_criterion():
+    # D1, D3 and D2 of three t = 2 fixtures have the characters of disc g,
+    # g(e) and x(P) - e at every good p that leaves P off {O, Q}; each D
+    # below, read by residue class, agrees with Euler's criterion at every
+    # prime p <= 20,000 not dividing 2D. The last D's factorization at
+    # budget 0 stays incomplete, so its cofactor stays in the period
+    primes = primes_upto(20000)[1:]
+    incomplete = 3 * 7 ** 2 * 1000003 * 1000033
+    assert not factorize(incomplete, 0).is_complete
+    ds = [1, -1, 2, -2, 49 * 121, -49 * 121, incomplete]
+    for name in ("65a", "order2-a", "order2-full"):
+        fixture = load_fixture(str(FIXTURES / f"{name}.fixture"))
+        curve, big_a = fixture.curve, _short_model(fixture.curve)[0]
+        (xp, _, zp), (xq, _, zq) = (modp._short_triple(curve, *_triple(pt))
+                                    for pt in (fixture.p, fixture.q))
+        fixed = (-3 * xq * xq - 4 * big_a * zq * zq, 3 * xq * xq + big_a * zq * zq,
+                 (xp * zq - xq * zp) * zp * zq)
+        ds += fixed
+        for p in primes[1:]:
+            if curve.discriminant % p == 0:
+                continue
+            cp = reduce_curve(curve, p)
+            _, a, pp, (e, _) = _to_short(cp, reduce_point(fixture.p, cp)._tuple(),
+                                         reduce_point(fixture.q, cp)._tuple())
+            if pp is not None and pp[0] != e:
+                chars = [_euler(v, p) for v in (-3 * e * e - 4 * a, 3 * e * e + a, pp[0] - e)]
+                assert [_euler(d, p) for d in fixed] == chars, (name, p)
+    for d in ds:
+        chi = _fixed_character(d)
+        for p in primes:
+            if d % p:
+                assert chi(p) == _euler(d, p), (d, p)
+
+
+def test_order_two_sweep_spends_fewer_eulers_criteria(monkeypatch, modp_calls):
+    # 65a's sweep to 10^5 took 84,006 pows with exponent (p - 1)/2 while it
+    # evaluated the characters of its three fixed integers at every prime;
+    # read by residue class, and with the known characters of the full
+    # 2-torsion branch, at most half that remain. The walk is unchanged.
+    fixture = load_fixture(str(FIXTURES / "65a.fixture"))
+    euler = 0
+
+    def counting_pow(base, exp, mod=None):
+        nonlocal euler
+        euler += mod is not None and exp == (mod - 1) // 2
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(modp, "pow", counting_pow, raising=False)
+    result = lang_trotter_sweep(fixture.p, fixture.q, 10 ** 5)
+    monkeypatch.delattr(modp, "pow")
+    assert result.count == 2685
+    assert euler <= 42000, euler
+    assert len(modp_calls["_annihilator"]) == 1192
 
 
 def test_bsgs_told_the_order_spends_fewer_group_operations(monkeypatch):

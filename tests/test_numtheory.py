@@ -76,7 +76,7 @@ def test_primes_upto_one_million():
     primes = primes_upto(10 ** 6)
     assert len(primes) == 78_498 and primes[-1] == 999_983
     # the trial-division table holds the same primes in 4-byte entries
-    table = _small_primes()
+    table = _small_primes(20)
     assert isinstance(table, array) and table.itemsize == 4
     assert table.tolist() == primes_upto(TRIAL_DIVISION_BOUND) == primes
 
