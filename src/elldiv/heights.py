@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import valuation
-from .rational_ec import Point, torsion_order
+from .rational_ec import Point, _coords, torsion_order
 
 DEFAULT_TOLERANCE = 1e-6
 
@@ -161,8 +161,7 @@ def _nonsingular_everywhere(point: Point) -> bool:
     are -3a^2 and 2b mod d, with a and b prime to d), so one gcd decides.
     """
     c = point.curve
-    d = math.isqrt(point.x.denominator)
-    a, b = point.x.numerator, point.y.numerator
+    a, b, d = _coords(point)
     f_x = c.a1 * b * d - 3 * a * a - 2 * c.a2 * a * d ** 2 - c.a4 * d ** 4
     f_y = 2 * b + c.a1 * a * d + c.a3 * d ** 3
     return math.gcd(c.discriminant, f_x, f_y) == 1

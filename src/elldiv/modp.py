@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .numtheory import _pool_map, factorize, primes_upto
-from .rational_ec import Point, WeierstrassCurve, require_infinite_order, torsion_order
+from .rational_ec import Point, WeierstrassCurve, _coords, require_infinite_order, torsion_order
 
 MESTRE_BOUND = 229             # group_order enumerates at or below
 BSGS_SAMPLE_LIMIT = 8          # random points per curve, on average
@@ -322,13 +322,13 @@ def reduce_curve(curve: WeierstrassCurve, p: int) -> FpCurve:
 def _triple(point: Point):
     """A coprime projective triple (X, Y, Z) of the point; O is (0, 1, 0).
 
-    On an integral model x = a/d^2 and y = b/d^3 with b prime to d, so
-    (a d, b, d^3) is already coprime.
+    On an integral model x = u/d^2 and y = v/d^3 with v prime to d, so
+    (u d, v, d^3) is already coprime.
     """
     if point.is_identity:
         return 0, 1, 0
-    x, y = point.x, point.y
-    return x.numerator * (y.denominator // x.denominator), y.numerator, y.denominator
+    u, v, d = _coords(point)
+    return u * d, v, d ** 3
 
 
 def _reduce_triple(big_x, big_y, z, p):

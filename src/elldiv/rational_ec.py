@@ -7,10 +7,17 @@ Curves are integral general-Weierstrass models
 and point coordinates are ``fractions.Fraction`` values, kept reduced with
 positive denominator by the Fraction type itself. Every identity checked
 downstream is therefore an exact equality of reduced rationals.
+
+Inside, the group law works on integer triples (u, v, d), x = u/d^2 and
+y = v/d^3, the shape of every rational point of an integral model. A sum
+costs one gcd for the slope, two against the small d1 d2, one isqrt and one
+exact division, and only the result returned is built as a Point: a scalar
+ladder or a torsion scan makes no Fraction per step.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, isqrt
 
 # Mazur: rational torsion has order at most 12.
 TORSION_SEARCH_BOUND = 12
@@ -104,8 +111,7 @@ class Point:
     def __neg__(self) -> "Point":
         if self.is_identity:
             return self
-        c = self.curve
-        return Point(c, self.x, -self.y - c.a1 * self.x - c.a3)
+        return _point(self.curve, _neg(self.curve, _coords(self)))
 
     def __add__(self, other: "Point") -> "Point":
         if self.curve != other.curve:
@@ -114,23 +120,7 @@ class Point:
             return other
         if other.is_identity:
             return self
-        c = self.curve
-        a1, a2, a3 = c.a1, c.a2, c.a3
-        x1, y1 = self.x, self.y
-        x2, y2 = other.x, other.y
-        if x1 == x2:
-            if y1 + y2 + a1 * x1 + a3 == 0:
-                return Point(c)
-            # same point with nonvanishing tangent denominator: doubling
-            lam = (3 * x1 * x1 + 2 * a2 * x1 + c.a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        # the line y = lam x + (y1 - lam x1) passes through both operands
-        # (AEC III.2.3), so y3 may come from either: take the cheaper one
-        if x2.denominator < x1.denominator:
-            x1, y1 = x2, y2
-        return Point(c, x3, lam * (x1 - x3) - y1 - a1 * x3 - a3)
+        return _point(self.curve, _add(self.curve, _coords(self), _coords(other)))
 
     def __sub__(self, other: "Point") -> "Point":
         return self + (-other)
@@ -138,19 +128,89 @@ class Point:
     def __mul__(self, n: int) -> "Point":
         if not isinstance(n, int):
             raise TypeError("points scale by integers only")
+        c, t = self.curve, _coords(self)
         if n < 0:
-            return (-self) * (-n)
-        acc = Point(self.curve)
+            t, n = _neg(c, t), -n
+        acc = None
         for bit in bin(n)[2:]:
-            acc = acc + acc
+            acc = _add(c, acc, acc)
             if bit == "1":
-                acc = acc + self
-        return acc
+                acc = _add(c, acc, t)
+        return _point(c, acc)
 
     __rmul__ = __mul__
 
     def __str__(self):
         return "O" if self.is_identity else f"({self.x}, {self.y})"
+
+
+def _coords(point: Point):
+    """(u, v, d) with x = u/d^2, y = v/d^3 and u, v prime to d; None for O.
+
+    Every point of an integral model has that shape; one without it is refused.
+    """
+    if point.is_identity:
+        return None
+    x, y = point.x, point.y
+    d = isqrt(x.denominator)
+    if d * d != x.denominator or d * d * d != y.denominator:
+        raise PointNotOnCurveError(f"{point} is not on {point.curve}")
+    return x.numerator, y.numerator, d
+
+
+def _point(c: WeierstrassCurve, t) -> Point:
+    return Point(c) if t is None else Point(c, Fraction(t[0], t[2] ** 2), Fraction(t[1], t[2] ** 3))
+
+
+def _neg(c: WeierstrassCurve, t):
+    if t is None:
+        return None
+    u, v, d = t
+    return u, -v - c.a1 * u * d - c.a3 * d ** 3, d
+
+
+def _add(c: WeierstrassCurve, t1, t2):
+    """t1 + t2 on triples, None for O, by the chord-and-tangent law (AEC III.2.3).
+
+    The slope num/den is reduced by one gcd. With z = d1 d2 = g m and
+    den = g k, g = gcd(den, z), x3 has numerator
+    (num^2 + a1 num den - a2 den^2) m^2 - (u1 d2^2 + u2 d1^2) k^2 over
+    (k z)^2; that numerator is prime to k, so gcd(., z^2) reduces it and
+    leaves d3 = |k| sqrt(z^2/gcd). The line passes through both operands, so
+    y3 comes from the one with the smaller d, by one exact division.
+    """
+    if t1 is None or t2 is None:
+        return t2 if t1 is None else t1
+    a1, a2, a3 = c.a1, c.a2, c.a3
+    (u1, v1, d1), (u2, v2, d2) = t1, t2
+    if u1 == u2 and d1 == d2:
+        if v1 + v2 + a1 * u1 * d1 + a3 * d1 ** 3 == 0:
+            return None
+        if v1 != v2:
+            raise PointNotOnCurveError("three points over one x: an operand is off the curve")
+        dd = d1 * d1
+        num = 3 * u1 * u1 + 2 * a2 * u1 * dd + c.a4 * dd * dd - a1 * v1 * d1
+        den = d1 * (2 * v1 + a1 * u1 * d1 + a3 * dd * d1)
+    else:
+        num = v2 * d1 ** 3 - v1 * d2 ** 3
+        den = d1 * d2 * (u2 * d1 * d1 - u1 * d2 * d2)
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    z = d1 * d2
+    g = gcd(den, z)
+    m, k = z // g, den // g
+    x_num = ((num * num + a1 * num * den - a2 * den * den) * m * m
+             - (u1 * d2 * d2 + u2 * d1 * d1) * k * k)
+    g = gcd(x_num, z * z)
+    u3, e = x_num // g, z * z // g
+    d3 = abs(k) * isqrt(e)
+    u, v, d = t2 if d2 < d1 else t1
+    ee, d_cubed = d3 * d3, d ** 3
+    v3, r = divmod(num * d * d3 * (u * ee - u3 * d * d)
+                   - den * d3 * (v * ee + d_cubed * (a1 * u3 + a3 * ee)), den * d_cubed)
+    if r or ee != k * k * e:
+        raise PointNotOnCurveError("the sum is not a triple: an operand is off the curve")
+    return u3, v3, d3
 
 
 def torsion_order(point: Point) -> int | None:
@@ -165,12 +225,12 @@ def torsion_order(point: Point) -> int | None:
     """
     if point.is_identity:
         return 1
-    acc = point
+    acc = t = _coords(point)
     for n in range(2, TORSION_SEARCH_BOUND + 1):
-        if 4 % acc.x.denominator:
+        if acc[2] > 2:
             return None
-        acc = acc + point
-        if acc.is_identity:
+        acc = _add(point.curve, acc, t)
+        if acc is None:
             return n
     return None
 

@@ -6,7 +6,10 @@ a deliberately different formula route from the library's chord-tangent
 code on the general and the short model, so agreement is a meaningful dual
 check. ``intercept_form_add`` is the textbook step (Silverman, AEC III.2.3)
 that forms the line's intercept nu, which the library's steps no longer
-compute. The mod p membership route at the end is the exception: it is the
+compute. Two routes are the exceptions. ``fraction_add``, ``fraction_neg``
+and ``fraction_mul`` are the chord-and-tangent law on the general model,
+one Fraction at a time: the reference that the library's integer-triple
+kernel must match exactly. The mod p membership route at the end is the
 smallest-multiple BSGS that the library's ± search replaced, on modp's
 general addition, so it never passes through the short model.
 """
@@ -148,6 +151,43 @@ def intercept_form_add(coeffs, a, b, p=None):
         nu = quotient(y1 * x2 - y2 * x1, x2 - x1)
     x3 = reduced(lam * lam + a1 * lam - a2 - x1 - x2)
     return x3, reduced(-(lam + a1) * x3 - nu - a3)
+
+
+def fraction_neg(coeffs, a):
+    """-a on affine (x, y) Fraction pairs; None is O."""
+    if a is None:
+        return None
+    a1, _, a3, _, _ = coeffs
+    x, y = a
+    return x, -y - a1 * x - a3
+
+
+def fraction_add(coeffs, a, b):
+    """a + b on affine (x, y) Fraction pairs (None is O), one Fraction at a time."""
+    if a is None or b is None:
+        return b if a is None else a
+    a1, a2, a3, a4, _ = coeffs
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2:
+        if y1 + y2 + a1 * x1 + a3 == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    return x3, lam * (x1 - x3) - y1 - a1 * x3 - a3
+
+
+def fraction_mul(coeffs, n, a):
+    """n a by double-and-add on affine (x, y) Fraction pairs; None is O."""
+    if n < 0:
+        return fraction_mul(coeffs, -n, fraction_neg(coeffs, a))
+    acc = None
+    for bit in bin(n)[2:]:
+        acc = fraction_add(coeffs, acc, acc)
+        if bit == "1":
+            acc = fraction_add(coeffs, acc, a)
+    return acc
 
 
 def torsion_scan(curve, pt, bound=16):

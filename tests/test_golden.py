@@ -31,7 +31,10 @@ untranslated term stream, instead of walking and multiplying it themselves.
 The three Tate normal form fixtures (t4-egg, t6-egg and t5, with Q = (0, 0)
 of order 4, 6 and 5) got their ltcount, verify and height files before the
 worker pool came to fork its processes directly; their sweeps take the
-discrete-log route with a composite or prime t above 3.
+discrete-log route with a composite or prime t above 3. The seq files, one
+per shipped fixture, were written before the group law moved from Fractions
+to integer triples; they pin the terms C_n and D_n for n <= 30 on every
+fixture, where primdiv pins them only on 37a and 65a.
 """
 
 from pathlib import Path
@@ -128,5 +131,17 @@ def test_height_output_matches_golden(capsys, monkeypatch, fixture, threads):
         monkeypatch.setenv("ELLDIV_THREADS", threads)
     expected = (GOLDEN / f"height-tol1e-10-{fixture}.json").read_bytes().decode("utf-8")
     code = cli.main(["height", str(ROOT / "fixtures" / f"{fixture}.fixture"), "--tol", "1e-10"])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+SEQ = ["37a", "65a", "order2-a", "order2-full", "order3",
+       "search-a", "search-b", "search-c", "t4-egg", "t6-egg", "t5"]
+
+
+@pytest.mark.parametrize("fixture", SEQ)
+def test_seq_output_matches_golden(capsys, fixture):
+    expected = (GOLDEN / f"seq-n30-{fixture}.csv").read_bytes().decode("utf-8")
+    code = cli.main(["seq", str(ROOT / "fixtures" / f"{fixture}.fixture"), "--n", "30"])
     assert code == 0
     assert capsys.readouterr().out == expected

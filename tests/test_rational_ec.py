@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
+from elldiv import rational_ec
+from elldiv.cli import load_fixture
 from elldiv.rational_ec import (
     Point,
     PointNotOnCurveError,
@@ -9,7 +14,18 @@ from elldiv.rational_ec import (
     WeierstrassCurve,
     torsion_order,
 )
-from _oracles import CURVES, ShortModelCurve, curve_points, intercept_form_add, torsion_scan
+from _oracles import (
+    CURVES,
+    ShortModelCurve,
+    curve_points,
+    fraction_add,
+    fraction_mul,
+    fraction_neg,
+    intercept_form_add,
+    torsion_scan,
+)
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.fixture"))
 
 
 def test_curve_invariants_37():
@@ -205,3 +221,97 @@ def test_torsion_order_exits_on_points_of_infinite_order(e37, p37, p65, q65):
 def test_cross_curve_addition_rejected(e37, e65, p37, p65):
     with pytest.raises(ValueError):
         p37 + p65
+
+
+def _coeffs(curve):
+    return curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=[f.stem for f in FIXTURES])
+def test_triple_kernel_matches_the_fraction_law_on_the_fixtures(path):
+    fixture = load_fixture(str(path))
+    coeffs, start = _coeffs(fixture.p.curve), _affine(fixture.p)
+    term, want = fixture.q, _affine(fixture.q)
+    for _ in range(60):
+        term, want = term + fixture.p, fraction_add(coeffs, want, start)
+        assert _affine(term) == want
+    for n in range(-5, 26):
+        assert _affine(n * fixture.p) == fraction_mul(coeffs, n, start)
+
+
+def _small_points(curve):
+    """The points of curve with x = u or u/4, |u| <= 12, found by solving for v."""
+    a1, a2, a3, a4, a6 = _coeffs(curve)
+    points = set()
+    for d in (1, 2):
+        for u in range(-12, 13):
+            # v^2 + s v = r with y = v/d^3, x = u/d^2, scaled by d^6
+            s = a1 * u * d + a3 * d ** 3
+            r = u ** 3 + a2 * u * u * d * d + a4 * u * d ** 4 + a6 * d ** 6
+            root = isqrt(max(s * s + 4 * r, 0))
+            if root * root == s * s + 4 * r:
+                for twice_v in (-s + root, -s - root):
+                    if twice_v % 2 == 0:
+                        points.add(curve.point(Fraction(u, d * d), Fraction(twice_v // 2, d ** 3)))
+    return points
+
+
+def test_triple_kernel_matches_the_fraction_law_on_small_curves():
+    rng, seen, curves = random.Random(0), {}, 0
+    while curves < 300:
+        try:
+            curve = WeierstrassCurve(*(rng.randint(-3, 3) for _ in range(5)))
+        except SingularCurveError:
+            continue
+        curves += 1
+        coeffs, points = _coeffs(curve), _small_points(curve)
+        for a in points:
+            pa = _affine(a)
+            assert _affine(-a) == fraction_neg(coeffs, pa)
+            for k in (-7, -2, 0, 1, 2, 3, 5, 11, 17):
+                assert _affine(k * a) == fraction_mul(coeffs, k, pa)
+            for b in points:
+                assert _affine(a + b) == fraction_add(coeffs, pa, _affine(b))
+                order_two = a == -a
+                for name, hit in (("a1 a3 nonzero", curve.a1 and curve.a3),
+                                  ("x = u/4", a.x.denominator == 4),
+                                  ("order 2", order_two),
+                                  ("P + (-P)", b == -a and not order_two),
+                                  ("double of order 2", a == b and order_two),
+                                  ("chord", a.x != b.x),
+                                  ("tangent", a == b and not order_two)):
+                    seen[name] = seen.get(name, 0) + bool(hit)
+    # the corpus reaches every arm of the law, on models with a1 a3 != 0 too
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_hand_built_point_off_the_curve_is_refused(e65, p65):
+    # x's denominator is not a square
+    with pytest.raises(PointNotOnCurveError):
+        Point(e65, Fraction(1, 2), Fraction(0)) + p65
+    # a third y over x(P) = 1
+    with pytest.raises(PointNotOnCurveError):
+        Point(e65, Fraction(1), Fraction(-2)) + p65
+    # x3's reduced denominator is not a square
+    with pytest.raises(PointNotOnCurveError):
+        Point(e65, Fraction(-5, 9), Fraction(-8, 27)) + p65
+    # y3 is not a whole multiple of 1/d3^3
+    with pytest.raises(PointNotOnCurveError):
+        Point(e65, Fraction(-5, 4), Fraction(-7, 8)) + p65
+
+
+def test_the_ladder_and_the_torsion_scan_build_no_intermediate_point(monkeypatch, p65, q65):
+    built = []
+    build = rational_ec._point
+
+    def counting(curve, triple):
+        built.append(triple)
+        return build(curve, triple)
+
+    monkeypatch.setattr(rational_ec, "_point", counting)
+    twenty = 20 * p65
+    assert len(built) == 1
+    built.clear()
+    assert torsion_order(p65) is None and torsion_order(twenty) is None
+    assert torsion_order(q65) == 2
+    assert built == []
