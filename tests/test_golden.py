@@ -34,7 +34,10 @@ worker pool came to fork its processes directly; their sweeps take the
 discrete-log route with a composite or prime t above 3. The seq files, one
 per shipped fixture, were written before the group law moved from Fractions
 to integer triples; they pin the terms C_n and D_n for n <= 30 on every
-fixture, where primdiv pins them only on 37a and 65a.
+fixture, where primdiv pins them only on 37a and 65a. The primdiv-n30-b0
+files, one per shipped fixture, were written before a point came to store
+its integer triple instead of two Fractions; at budget 0 they pin every
+fixture's primitive parts, certificate primes and fully_factored flags.
 """
 
 from pathlib import Path
@@ -143,5 +146,23 @@ SEQ = ["37a", "65a", "order2-a", "order2-full", "order3",
 def test_seq_output_matches_golden(capsys, fixture):
     expected = (GOLDEN / f"seq-n30-{fixture}.csv").read_bytes().decode("utf-8")
     code = cli.main(["seq", str(ROOT / "fixtures" / f"{fixture}.fixture"), "--n", "30"])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+PRIMDIV = [(fixture, threads) for fixture in SEQ for threads in (None, "2")]
+
+
+@pytest.mark.parametrize("fixture,threads", PRIMDIV,
+                         ids=[fixture + ("" if threads is None else f"-threads-{threads}")
+                              for fixture, threads in PRIMDIV])
+def test_primdiv_output_matches_golden(capsys, monkeypatch, fixture, threads):
+    if threads is None:
+        monkeypatch.delenv("ELLDIV_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ELLDIV_THREADS", threads)
+    expected = (GOLDEN / f"primdiv-n30-b0-{fixture}.csv").read_bytes().decode("utf-8")
+    code = cli.main(["primdiv", str(ROOT / "fixtures" / f"{fixture}.fixture"),
+                     "--n", "30", "--factor-budget", "0"])
     assert code == 0
     assert capsys.readouterr().out == expected
