@@ -88,7 +88,8 @@ class BadPrimeSet:
 def _term_from_point(n: int, point: Point) -> DenomTerm:
     if point.is_identity:
         raise CollisionWithIdentityError(n)
-    return DenomTerm(n, point.x.numerator, point.x.denominator, point)
+    u, _, d = point.triple
+    return DenomTerm(n, u, d * d, point)
 
 
 def denom_term(p_point: Point, q_point: Point, n: int) -> DenomTerm:
@@ -140,7 +141,7 @@ def bad_set(q_point: Point, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> BadPr
     for p in factorize(2 * order, factor_budget).factors:
         reasons.setdefault(p, []).append(REASON_TORSION)
 
-    if not q_point.is_identity and q_point.x.denominator > 1:
+    if not q_point.is_identity and q_point.triple[2] > 1:
         # den x(Q) = 4, and 2 is a key already since 2 | 2 ord(Q)
         reasons[2].append(REASON_Q_NONINTEGRAL)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import valuation
-from .rational_ec import Point, _coords, torsion_order
+from .rational_ec import Point, torsion_order
 
 DEFAULT_TOLERANCE = 1e-6
 
@@ -79,25 +79,25 @@ def naive_height(point: Point) -> float:
     """Weil height of x(P); the identity gets 0 by convention."""
     if point.is_identity:
         return 0.0
-    x = point.x
-    return log_int(max(abs(x.numerator), x.denominator))
+    u, _, d = point.triple
+    return log_int(max(abs(u), d * d))
 
 
 def local_height_exponent(point: Point, p: int) -> int:
     """max(0, -ord_p(x(P))) as a bare exponent; multiply by log p to weight it."""
     if point.is_identity:
         raise IdentityPointError("local height of the identity is undefined")
-    return valuation(point.x.denominator, p)
+    return 2 * valuation(point.triple[2], p)
 
 
 def archimedean_local_height(point: Point) -> float:
     """max(0, log |x(P)|), the contribution of the real place."""
     if point.is_identity:
         raise IdentityPointError("local height of the identity is undefined")
-    x = point.x
-    if x == 0:
+    u, _, d = point.triple
+    if u == 0:
         return 0.0
-    return max(0.0, log_int(abs(x.numerator)) - log_int(x.denominator))
+    return max(0.0, log_int(abs(u)) - log_int(d * d))
 
 
 def canonical_height(point: Point, tol: float = DEFAULT_TOLERANCE) -> HeightEstimate:
@@ -161,7 +161,7 @@ def _nonsingular_everywhere(point: Point) -> bool:
     are -3a^2 and 2b mod d, with a and b prime to d), so one gcd decides.
     """
     c = point.curve
-    a, b, d = _coords(point)
+    a, b, d = point.triple
     f_x = c.a1 * b * d - 3 * a * a - 2 * c.a2 * a * d ** 2 - c.a4 * d ** 4
     f_y = 2 * b + c.a1 * a * d + c.a3 * d ** 3
     return math.gcd(c.discriminant, f_x, f_y) == 1
@@ -199,13 +199,13 @@ def _archimedean_series(point: Point) -> tuple[float, float, int]:
     2^-68 4^-N sum_n (n + 1) <= 2^-70.
     """
     charts, lipschitz, expansion, ell_max = _series_constants(point.curve)
-    x = point.x
-    chart = 0 if 2 * abs(x.numerator) >= x.denominator else 1
-    a = x.numerator + chart * x.denominator
+    u, den = point.triple[0], point.triple[2] ** 2
+    chart = 0 if 2 * abs(u) >= den else 1
+    a = u + chart * den
     terms = max(1, math.ceil((54 * math.log(2) + math.log(ell_max / 3)) / math.log(4)))
     step_bits = _log2_ceil(expansion)
     bits = 66 + terms * step_bits + _log2_ceil(lipschitz)
-    t = (x.denominator << bits) // a
+    t = (den << bits) // a
     total = magnitude = 0.0
     for n in range(terms):
         z_poly, w_poly = charts[chart]

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .numtheory import _pool_map, factorize, primes_upto
-from .rational_ec import Point, WeierstrassCurve, _coords, require_infinite_order, torsion_order
+from .rational_ec import Point, WeierstrassCurve, require_infinite_order, torsion_order
 
 MESTRE_BOUND = 229             # group_order enumerates at or below
 BSGS_SAMPLE_LIMIT = 8          # random points per curve, on average
@@ -327,7 +327,7 @@ def _triple(point: Point):
     """
     if point.is_identity:
         return 0, 1, 0
-    u, v, d = _coords(point)
+    u, v, d = point.triple
     return u * d, v, d ** 3
 
 

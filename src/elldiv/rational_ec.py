@@ -4,15 +4,14 @@ Curves are integral general-Weierstrass models
 
     y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6
 
-and point coordinates are ``fractions.Fraction`` values, kept reduced with
-positive denominator by the Fraction type itself. Every identity checked
-downstream is therefore an exact equality of reduced rationals.
-
-Inside, the group law works on integer triples (u, v, d), x = u/d^2 and
-y = v/d^3, the shape of every rational point of an integral model. A sum
-costs one gcd for the slope, two against the small d1 d2, one isqrt and one
-exact division, and only the result returned is built as a Point: a scalar
-ladder or a torsion scan makes no Fraction per step.
+and a point is stored in one form, its coprime integer triple (u, v, d):
+x = u/d^2 and y = v/d^3 with d >= 1 and u, v prime to d, the shape of every
+rational point of an integral model. The triple is canonical, so equality is
+equality of triples. ``Point.x`` and ``Point.y`` are reduced ``Fraction``
+views that cost a gcd on each access; library code reads ``Point.triple``.
+A sum costs one gcd for the slope, two against the small d1 d2, one isqrt
+and one exact division, so a scalar ladder or a torsion scan makes no
+Fraction at all.
 """
 
 from dataclasses import dataclass, field
@@ -71,7 +70,7 @@ class WeierstrassCurve:
 
     def point(self, x, y) -> "Point":
         """Affine point constructor that insists the equation holds."""
-        pt = Point(self, Fraction(x), Fraction(y))
+        pt = Point(self, x, y)
         if not pt.on_curve():
             raise PointNotOnCurveError(f"({x}, {y}) is not on {self}")
         return pt
@@ -80,47 +79,57 @@ class WeierstrassCurve:
         return f"y^2 + {self.a1}xy + {self.a3}y = x^3 + {self.a2}x^2 + {self.a4}x + {self.a6}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point:
-    """Identity (x = y = None) or an affine point tagged with its curve."""
+    """Identity (triple None) or an affine point (u, v, d) tagged with its curve.
+
+    ``Point(curve, x, y)`` takes the rational coordinates and refuses a pair
+    whose denominators are not d^2 and d^3.
+    """
 
     curve: WeierstrassCurve
-    x: Fraction | None = None
-    y: Fraction | None = None
+    triple: tuple[int, int, int] | None
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __init__(self, curve: WeierstrassCurve, x=None, y=None):
+        if (x is None) != (y is None):
             raise ValueError("affine points need both coordinates")
-        if self.x is not None and not (
-            isinstance(self.x, Fraction) and isinstance(self.y, Fraction)
-        ):
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+        triple = None
+        if x is not None:
+            x, y = Fraction(x), Fraction(y)
+            d = isqrt(x.denominator)
+            if d * d != x.denominator or d * d * d != y.denominator:
+                raise PointNotOnCurveError(f"({x}, {y}) is not on {curve}")
+            triple = x.numerator, y.numerator, d
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "triple", triple)
+
+    @property
+    def x(self) -> Fraction | None:
+        return None if self.is_identity else Fraction(self.triple[0], self.triple[2] ** 2)
+
+    @property
+    def y(self) -> Fraction | None:
+        return None if self.is_identity else Fraction(self.triple[1], self.triple[2] ** 3)
 
     @property
     def is_identity(self) -> bool:
-        return self.x is None
+        return self.triple is None
 
     def on_curve(self) -> bool:
         if self.is_identity:
             return True
-        c = self.curve
-        x, y = self.x, self.y
-        return y * y + c.a1 * x * y + c.a3 * y == x ** 3 + c.a2 * x * x + c.a4 * x + c.a6
+        c, (u, v, d) = self.curve, self.triple
+        dd = d * d
+        return (v * v + c.a1 * u * v * d + c.a3 * v * dd * d
+                == u ** 3 + c.a2 * u * u * dd + c.a4 * u * dd * dd + c.a6 * dd ** 3)
 
     def __neg__(self) -> "Point":
-        if self.is_identity:
-            return self
-        return _point(self.curve, _neg(self.curve, _coords(self)))
+        return _point(self.curve, _neg(self.curve, self.triple))
 
     def __add__(self, other: "Point") -> "Point":
         if self.curve != other.curve:
             raise ValueError("points lie on different curves")
-        if self.is_identity:
-            return other
-        if other.is_identity:
-            return self
-        return _point(self.curve, _add(self.curve, _coords(self), _coords(other)))
+        return _point(self.curve, _add(self.curve, self.triple, other.triple))
 
     def __sub__(self, other: "Point") -> "Point":
         return self + (-other)
@@ -128,7 +137,7 @@ class Point:
     def __mul__(self, n: int) -> "Point":
         if not isinstance(n, int):
             raise TypeError("points scale by integers only")
-        c, t = self.curve, _coords(self)
+        c, t = self.curve, self.triple
         if n < 0:
             t, n = _neg(c, t), -n
         acc = None
@@ -144,22 +153,11 @@ class Point:
         return "O" if self.is_identity else f"({self.x}, {self.y})"
 
 
-def _coords(point: Point):
-    """(u, v, d) with x = u/d^2, y = v/d^3 and u, v prime to d; None for O.
-
-    Every point of an integral model has that shape; one without it is refused.
-    """
-    if point.is_identity:
-        return None
-    x, y = point.x, point.y
-    d = isqrt(x.denominator)
-    if d * d != x.denominator or d * d * d != y.denominator:
-        raise PointNotOnCurveError(f"{point} is not on {point.curve}")
-    return x.numerator, y.numerator, d
-
-
 def _point(c: WeierstrassCurve, t) -> Point:
-    return Point(c) if t is None else Point(c, Fraction(t[0], t[2] ** 2), Fraction(t[1], t[2] ** 3))
+    point = object.__new__(Point)
+    object.__setattr__(point, "curve", c)
+    object.__setattr__(point, "triple", t)
+    return point
 
 
 def _neg(c: WeierstrassCurve, t):
@@ -225,7 +223,7 @@ def torsion_order(point: Point) -> int | None:
     """
     if point.is_identity:
         return 1
-    acc = t = _coords(point)
+    acc = t = point.triple
     for n in range(2, TORSION_SEARCH_BOUND + 1):
         if acc[2] > 2:
             return None

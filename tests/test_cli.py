@@ -76,6 +76,13 @@ def test_parse_fixture_rejects_singular_curve_and_off_curve_points():
         parse_fixture("curve=[0,0,1,-1,0]; P=[1,1]; Q=O")
 
 
+def test_a_point_not_of_the_shape_exits_1_with_one_error_line(capsys, fixture_path):
+    code, out, err = run_cli(capsys, "seq", fixture_path("curve=[1,0,0,-1,0]; P=[1/2,0]; Q=O"),
+                             "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "elldiv: error: (1/2, 0) is not on y^2 + 1xy + 0y = x^3 + 0x^2 + -1x + 0\n"
+
+
 def test_seq_command(capsys, fixture_path):
     code, out, _ = run_cli(capsys, "seq", fixture_path(FIXTURE_37A), "--n", "5")
     assert code == 0

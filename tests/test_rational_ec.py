@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from elldiv import rational_ec
-from elldiv.cli import load_fixture
+from elldiv.cli import load_fixture, parse_fixture
+from elldiv.denominators import denom_sequence
 from elldiv.rational_ec import (
     Point,
     PointNotOnCurveError,
@@ -227,9 +229,23 @@ def _coeffs(curve):
     return curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
 
 
-@pytest.mark.parametrize("path", FIXTURES, ids=[f.stem for f in FIXTURES])
-def test_triple_kernel_matches_the_fraction_law_on_the_fixtures(path):
-    fixture = load_fixture(str(path))
+# ROADMAP item 17's probe fixtures: P has x = a/4, so the stream runs with d > 1
+PROBES = ["curve=[-2,3,-2,0,3]; P=[-15/4,-23/8]; Q=[0,-1]",
+          "curve=[-2,2,-2,-1,0]; P=[-11/4,-17/8]; Q=[0,2]"]
+
+
+@pytest.mark.parametrize("source", FIXTURES + PROBES,
+                         ids=[f.stem for f in FIXTURES] + ["probe-1", "probe-2"])
+def test_triple_kernel_matches_the_fraction_law_on_the_fixtures(source):
+    fixture = load_fixture(str(source)) if isinstance(source, Path) else parse_fixture(source)
+    # the stored triple and the Fraction views round-trip on the stream and its negation
+    for term in denom_sequence(fixture.p, fixture.q, 40):
+        assert (term.numerator, term.denominator) == (term.point.x.numerator,
+                                                      term.point.x.denominator)
+        for pt in (term.point, -term.point):
+            rebuilt = Point(pt.curve, pt.x, pt.y)
+            assert rebuilt == pt and hash(rebuilt) == hash(pt)
+            assert pickle.loads(pickle.dumps(pt)) == pt
     coeffs, start = _coeffs(fixture.p.curve), _affine(fixture.p)
     term, want = fixture.q, _affine(fixture.q)
     for _ in range(60):
@@ -285,6 +301,15 @@ def test_triple_kernel_matches_the_fraction_law_on_small_curves():
     assert min(seen.values()) > 0, seen
 
 
+def test_a_pair_not_of_the_shape_is_refused_at_construction(e37, e65):
+    # x's denominator is not a square: refused with no operation applied
+    with pytest.raises(PointNotOnCurveError):
+        Point(e65, Fraction(1, 2), Fraction(0))
+    # the shape holds, so the point is built; only on_curve tells it is off the curve
+    off = Point(e37, Fraction(1), Fraction(1))
+    assert off.triple == (1, 1, 1) and not off.on_curve()
+
+
 def test_a_hand_built_point_off_the_curve_is_refused(e65, p65):
     # x's denominator is not a square
     with pytest.raises(PointNotOnCurveError):
@@ -315,3 +340,19 @@ def test_the_ladder_and_the_torsion_scan_build_no_intermediate_point(monkeypatch
     assert torsion_order(p65) is None and torsion_order(twenty) is None
     assert torsion_order(q65) == 2
     assert built == []
+
+
+def test_the_term_walk_the_ladder_and_the_torsion_scan_build_no_fraction(monkeypatch, p65, q65):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(rational_ec, "Fraction", counting)
+    list(denom_sequence(p65, q65, 40))
+    20 * p65
+    assert torsion_order(p65) is None
+    assert built == []
+    # a coordinate view is what builds one
+    assert p65.x == 1 and len(built) == 1
