@@ -35,13 +35,12 @@ chi(disc g), chi(g(e)) and chi(x(P) - e) are characters of three fixed
 integers, which the sweep reads by the residue class of p
 (_fixed_character), and square roots are taken in closed form where p
 allows (_square_root).
-Where the 2-Sylow is cyclic and P and Q are both doubles, P and Q are
-halved in lockstep, x only, through the 2-isogeny with kernel {O, Q} (AEC
-III.4.5, X.4.9), and Q is in <P> exactly when P's chain of halves in
-2E(F_p) is no longer than Q's. At the rest the characters prove that 8 or
-16 divides #E(F_p): Z/4 x Z/2 lies in E(F_p) when one point of order 2 is
-a double, and Z/4 x Z/4 when all three are. There the search for M steps
-by that power of 2, and Q is in <P> exactly when doubling the 2-part uP,
+Where classes do not decide, points are halved, x only, and their chains
+of halves in 2E(F_p) compared in lockstep (_ends_first): through the
+2-isogeny with kernel {O, Q} where the 2-Sylow is cyclic (AEC III.4.5,
+X.4.9), and from the square roots of x - e_i where f splits (_half_split).
+Only primes with E[4] in E(F_p) and a point of order 2 in 4E(F_p) search
+for M, stepping by 16: Q is in <P> exactly when doubling the 2-part uP,
 u the odd part of M, ends at Q.
 
 Group orders come from exhaustive counting for p <= 229. Above that
@@ -259,9 +258,9 @@ def _square_root(p):
             return checked(a, a * v * (2 * a * v * v - 1) % p)
         return atkin
     s = ((p - 1) & (1 - p)).bit_length() - 1
-    q, z = (p - 1) >> s, 3                          # 2 is a square when p = 1 mod 8
-    while _chi(z, p) == 1:
-        z += 1
+    q, z = (p - 1) >> s, 3          # 2 is a square when p = 1 mod 8, so the least
+    while _chi(z, p) == 1:          # non-square above 2 is odd
+        z += 2
     c0 = pow(z, q, p)                               # of order 2^s
 
     def tonelli_shanks(a):
@@ -277,11 +276,6 @@ def _square_root(p):
             x, c, t, m = x * b % p, b * b % p, t * b * b % p, i
         return checked(a, x)
     return tonelli_shanks
-
-
-def _sqrt_mod(a, p):
-    """A square root of a mod an odd prime p; ValueError when a is no square."""
-    return _square_root(p)(a)
 
 
 def _chi(v, p):
@@ -555,6 +549,42 @@ def _half_x(p, root, alpha, beta, u):
     return (d + root((d * d - 4 * beta) % p)) * (h + 1) % p     # h + 1 = 1/2 mod p
 
 
+def _half_split(p, roots, classes, x0, rs):
+    """x(S) and delta(S) of a half S of R = (x0, y) in 2E(F_p) where f splits in F_p.
+
+    roots are the roots e, e2, e3 of f, classes the delta of (e_i, 0), and
+    rs square roots r_i of x0 - e_i. A half S0 of R has
+    x - e_i = (r_i + r_j)(r_i + r_k), so x = (t^2 - x0)/2 with
+    t = r1 + r2 + r3, as e + e2 + e3 = 0; negating r_i gives S0 + (e_i, 0)
+    (Miret, Moreno, Rio and Valls). delta is a homomorphism, so
+    S0 + (e_i, 0) lies in 2E(F_p) exactly when delta(S0) is the class of
+    (e_i, 0). S is S0, or S0 + (e_i, 0) where that one is in 2E(F_p), so
+    delta(S) = (1, 1) exactly when R lies in 4E(F_p).
+    """
+    t, half = sum(rs), (p + 1) >> 1
+    x = (t * t - x0) * half % p
+    d = (_chi(x - roots[0], p), _chi(x - roots[1], p))
+    if d != (1, 1) and d in classes:
+        t -= 2 * rs[classes.index(d)]
+        x, d = (t * t - x0) * half % p, (1, 1)
+    return x, d
+
+
+def _ends_first(halve, a, b):
+    """Whether a's chain of halves in 2E(F_p) ends no later than b's.
+
+    halve maps a point of 2E(F_p) to a half in 2E(F_p), or to None where
+    there is none; a and b halve in lockstep, a first.
+    """
+    while True:
+        a = halve(a)
+        if a is None:
+            return True
+        b = halve(b)
+        if b is None:
+            return False
+
+
 def _order_two_member(p, A, a, e, chi_disc, chi_ge, chi_x):
     """Whether Q = (e, 0) lies in <a> on y^2 = x^3 + Ax + B mod a good p >= 5.
 
@@ -566,74 +596,97 @@ def _order_two_member(p, A, a, e, chi_disc, chi_ge, chi_x):
     root e_i of f in F_p; at R = (e_i, 0) the product of e_i minus the other
     roots stands in for x(R) - e_i, which is g(e) at R = Q. Q is in <a>
     exactly when it is the point of order 2 in the cyclic 2-part of <a>.
+    A chain of halves starts at a point of 2E(F_p) and halves while some
+    half lies in 2E(F_p). Let v(R) be the 2-adic valuation of R's
+    coordinate on a Z/2^k factor of the 2-Sylow (k when it is 0), R off
+    any other factor. Every half in 2E of an R with v(R) < k has valuation
+    v(R) - 1, so R's chain ends at the v(R)-th halving; an R with v(R) = k
+    may pick halves of valuation k, but its chain ends at the k-th or later.
+    - chi(g(e)) = -1 and chi(x(a) - e) = 1: Q is not in 2E(F_p), so Q = na
+      needs n odd, and R -> chi(x(R) - e), a homomorphism, would agree at a
+      and Q: no member.
     - chi(disc g) = -1: E(F_p)[2] = {O, Q}, so the 2-Sylow is cyclic. a
-      outside 2E makes its 2-part a generator, so Q is in <a>; a in 2E and
-      Q outside 2E make the 2-Sylow {O, Q} and ord(a) odd, so Q is not.
-      With both in 2E the 2-Sylow is Z/2^k, k >= 2, and a and Q halve in
-      lockstep (_half_x), a first, until a half leaves 2E. Let v(R) be the
-      2-adic valuation of R's coordinate on Z/2^k, k when it is 0. Every
-      half of R with v(R) < k has valuation v(R) - 1, so R's chain of
-      halves in 2E is v(R) long; Q has v = k - 1, and Q is in <a> exactly
-      when v(a) <= k - 1. An a with v(a) = k may pick halves of valuation
-      k - 1, but its chain is then at least k long, still longer than Q's.
+      outside 2E makes its 2-part a generator, so Q is in <a>. Otherwise
+      both are in 2E, the 2-Sylow is Z/2^k with k >= 2, and a and Q halve
+      in lockstep (_half_x, _ends_first). Q has v = k - 1, and Q is in <a>
+      exactly when v(a) <= k - 1: when a's chain ends no later than Q's.
     - chi(disc g) = 1: with T = (e2, 0), delta(R) = (chi(x(R) - e),
       chi(x(R) - e2)) maps E/2E onto {1, -1}^2, and the points of order 2
       of class (1, 1) are the doubles D; D and O form a subgroup of E[2],
-      so |D| is 0, 1 or 3.
+      so |D| is 0, 1 or 3. Halves come from _half_split.
       |D| = 0: the 2-Sylow is E[2], so the 2-part of a is Q exactly when
       delta(a) = delta(Q).
-      |D| = 1: the 2-Sylow is Z/2^k x Z/2 with k >= 2, whose double of
-      order 2 lies on the Z/2^k factor, and 8 divides #E(F_p). If it is Q,
-      a class other than (1, 1) and the other points' makes the 2-part of a
-      of order 2^k on that factor, so Q is in <a>. If not, Q is no double,
-      so it can only be the 2-part of a itself, of class delta(Q).
-      |D| = 3: E[2] lies in 2E, so Z/4 x Z/4 lies in E(F_p): step 16.
-    The other |D| = 1 and |D| = 3 primes walk: the odd part u of a multiple
-    of ord(a) from the annihilator, stepped by 8 or 16, gives the 2-part u*a,
-    which doubles down to the point of order 2 of <a>, if any, in at most
-    v_2 of the multiple steps.
+      |D| = 1: the 2-Sylow is Z/2^k x Z/2 with k >= 2, and the one double
+      D0 has v = k - 1 on the Z/2^k factor. If D0 = Q, a class other than
+      (1, 1) and the other points' makes the 2-part of a of order 2^k on
+      that factor, so Q is in <a>. An a in 2E is a member exactly when
+      v(a) <= k - 1: when its chain ends no later than Q's. An a of the
+      class of T is one exactly when v(a) <= k - 2; a + T is in 2E with
+      the same v, or both are at least k - 1: so when a + T's chain ends
+      before Q's. If D0 != Q, Q is no double, so it can only be the 2-part
+      of a itself, of class delta(Q); then a + Q is in 2E, with 2-part O
+      exactly when a is a member: when its chain outlasts D0's.
+      |D| = 3: E[2] lies in 2E, so E[4] lies in E(F_p). If no half of a
+      point of order 2 is in 2E, the 2-Sylow is E[4] and meets 2E in E[2]:
+      an a in 2E is a member exactly when a + Q is in 4E, and any other a
+      exactly when 2a and Q agree on the 2-Sylow, so when a and a half of
+      Q have one class. Otherwise Z/8 x Z/4 lies in E(F_p).
+    That last kind of prime walks: the odd part u of a multiple of ord(a)
+    from the annihilator, stepped by 16, gives the 2-part u*a, which
+    doubles down to the point of order 2 of <a>, if any, in at most v_2 of
+    the multiple steps.
     """
     if a is None:
         return False
     x = a[0]
     if x == e:                                  # a = Q
         return True
-    h = (p - 1) // 2
+    if chi_x == 1 and chi_ge == -1:             # Q no double, and chi(x - e) tells a from Q
+        return False
+    if chi_x == -1 and chi_disc == -1:          # a's 2-part generates the cyclic 2-Sylow
+        return True
+    h, root, ge = (p - 1) // 2, _square_root(p), (3 * e * e + A) % p
     if chi_disc == -1:
-        if chi_x == -1:
+
+        def halve_cyclic(u):
+            u = _half_x(p, root, 3 * e, ge, u)
+            return u if pow(u, h, p) == 1 else None
+        return _ends_first(halve_cyclic, x - e, 0)
+    r = root(-3 * e * e - 4 * A)
+    e2 = (r - e) * (h + 1) % p                  # h + 1 = 1/2 mod p
+    roots = (e, e2, (e2 - r) % p)
+    if x in roots:                              # a has order 2 and is not Q
+        return False
+    dq, da = (chi_ge, _chi(e - e2, p)), (chi_x, _chi(x - e2, p))
+    if dq != (1, 1) and da != dq:               # Q is no double, nor the 2-part of a
+        return False
+    c2 = dq[1] if p & 3 == 1 else -dq[1]        # chi(e2 - e) = chi(-1) chi(e - e2)
+    dt = (c2, c2 * _chi(r, p))
+    classes = (dq, dt, (dq[0] * dt[0], dq[1] * dt[1]))
+    doubles = classes.count((1, 1))
+    if doubles == 0:                            # the 2-part of a is Q
+        return True
+
+    def halve(x0):
+        x0, d = _half_split(p, roots, classes, x0, [root(x0 - v) for v in roots])
+        return x0 if d == (1, 1) else None
+    if doubles == 1 and dq == (1, 1):           # Q is the one double
+        if da == dq:
+            return _ends_first(halve, x, e)
+        if da != dt:
             return True
-        if chi_ge == -1:
-            return False
-        root, alpha, beta = _square_root(p), 3 * e, (3 * e * e + A) % p
-        ua, uq = x - e, 0
-        while True:
-            ua = _half_x(p, root, alpha, beta, ua)
-            if pow(ua, h, p) != 1:
-                return True
-            uq = _half_x(p, root, alpha, beta, uq)
-            if pow(uq, h, p) != 1:
-                return False
-    else:
-        r = _sqrt_mod((-3 * e * e - 4 * A) % p, p)
-        e2 = (r - e) * (h + 1) % p              # h + 1 = 1/2 mod p; the third root is e2 - r
-        if x == e2 or x == (e2 - r) % p:        # a has order 2 and is not Q
-            return False
-        c = _chi(e - e2, p)
-        c2 = c if p & 3 == 1 else -c            # chi(e2 - e) = chi(-1) chi(e - e2)
-        dq, dt = (chi_ge, c), (c2, c2 * _chi(r, p))
-        doubles = (dq, dt, (dq[0] * dt[0], dq[1] * dt[1])).count((1, 1))
-        if doubles == 3:
-            step = 16
-        elif dq == (1, 1):                      # the one double is Q, and dt = d3
-            if (chi_x, _chi(x - e2, p)) not in (dq, dt):
-                return True
-            step = 8
-        else:                                   # Q is in <a> only as its 2-part: delta(a) = delta(Q)
-            same = chi_x == dq[0] and _chi(x - e2, p) == dq[1]
-            if doubles == 0 or not same:
-                return same
-            step = 8
-    m = _annihilator(p, A, a, step)
+        return not _ends_first(halve, e, (e2 + (e2 - e) * r * pow(x - e2, -1, p)) % p)   # a + T
+    plus_q = (e + ge * pow(x - e, -1, p)) % p   # x(a + Q)
+    if doubles == 1:                            # delta(a) = delta(Q)
+        return not _ends_first(halve, plus_q, roots[classes.index((1, 1))])
+    # E[4] lies in E(F_p), so the Weil pairing puts i = sqrt(-1) in F_p (AEC III.8.1.1):
+    # with s_ij^2 = e_i - e_j, e_j - e_i has the root i s_ij
+    s12, s13, s23, i = (root(v) for v in (e - e2, e - roots[2], e2 - roots[2], -1))
+    halves = [_half_split(p, roots, classes, v, rs)[1] for v, rs in
+              zip(roots, [(0, s12, s13), (i * s12, 0, s23), (i * s13, i * s23, 0)])]
+    if (1, 1) not in halves:                    # the 2-Sylow is E[4]; halves[0]: Q's halves
+        return halve(plus_q) is not None if da == (1, 1) else da == halves[0]
+    m = _annihilator(p, A, a, 16)
     v = (m & -m).bit_length() - 1
     b = _short_mul(p, A, m >> v, a)             # the 2-part of a
     while b is not None and b[1]:               # double down to order 2

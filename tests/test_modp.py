@@ -31,13 +31,13 @@ from elldiv.modp import (
     FpPoint,
     _annihilator,
     _fixed_character,
+    _half_split,
     _half_x,
     _hasse_interval,
     _order_two_member,
     _short_add,
     _short_model,
     _short_mul,
-    _sqrt_mod,
     _square_root,
     _to_short,
     _triple,
@@ -497,6 +497,33 @@ def test_sweep_matches_the_oracle_route(name):
     assert sweep_primes(p_point, q_point, primes) == sweep_primes_reference(p_point, q_point, primes)
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURES.glob("*.fixture")))
+def test_sweep_matches_a_brute_force_orbit_walk_below_600(name):
+    # at every good p < 600 on every shipped fixture, Q mod p is a member
+    # exactly when walking P, 2P, 3P, ... mod p reaches it before O, on the
+    # oracle's intercept-form law; no search and no character takes part
+    fixture = load_fixture(str(FIXTURES / f"{name}.fixture"))
+    curve = fixture.curve
+    coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    primes = primes_upto(600)
+
+    def reduced(point, p):
+        if point.is_identity or point.x.denominator % p == 0:
+            return None
+        return tuple(v.numerator * pow(v.denominator, -1, p) % p for v in (point.x, point.y))
+
+    expected = []
+    for p in primes:
+        if curve.discriminant % p:
+            a, q = reduced(fixture.p, p), reduced(fixture.q, p)
+            walk = a
+            while walk is not None and walk != q:
+                walk = intercept_form_add(coeffs, walk, a, p)
+            expected += [p] * (walk == q)
+    bad = [p for p in primes if curve.discriminant % p == 0]
+    assert sweep_primes(fixture.p, fixture.q, primes) == (len(expected), expected, bad)
+
+
 def test_order_finding_points_do_not_depend_on_the_hash_seed():
     # the generator's seed is text, so str hash randomisation cannot reach it
     primes = [p for p in primes_upto(MESTRE_BOUND + 200) if p > MESTRE_BOUND][:3]
@@ -680,7 +707,7 @@ def _order_two_cases(count, seed):
     return cases
 
 
-def _order_two_route(p, big_a, a, e):
+def _order_two_route(cp, big_a, a, e):
     """(route, roots, D) of Q = (e, 0) and a on y^2 = x^3 + Ax + B mod p, worked out here.
 
     roots are those of x^3 + Ax + B in F_p and D the points of order 2 whose
@@ -688,8 +715,12 @@ def _order_two_route(p, big_a, a, e):
     where the characters decide with E(F_p)[2] = {O, Q}, or with a of order
     at most 2 or |D| = 0; "member" or "non-member" where they decide with
     |D| = 1; 4 where a and Q halve with E(F_p)[2] = {O, Q}, so that Z/4
-    lies in E(F_p); else the step of the 2-part walk.
+    lies in E(F_p); "lockstep" where chains of halves decide with |D| = 1;
+    "E[4]" where |D| = 3 and #E(F_p) has 2-adic valuation 4, so that the
+    2-Sylow is E[4]; else 16, the step of the 2-part walk.
     """
+    p = cp.p
+
     def square(v):
         return pow(v % p, (p - 1) // 2, p) == 1
 
@@ -708,20 +739,23 @@ def _order_two_route(p, big_a, a, e):
     if a is None or a[0] in roots or not doubles:
         return "full", roots, doubles
     if len(doubles) == 3:
-        return 16, roots, doubles
+        order = group_order_by_enumeration(cp)
+        return ("E[4]" if order & -order == 16 else 16), roots, doubles
     if doubles == [e]:
         other = delta(roots[1])
-        return ("member" if delta(a[0]) not in (delta(e), other) else 8), roots, doubles
-    return ("non-member" if delta(a[0]) != delta(e) else 8), roots, doubles
+        return ("member" if delta(a[0]) not in (delta(e), other) else "lockstep"), roots, doubles
+    return ("non-member" if delta(a[0]) != delta(e) else "lockstep"), roots, doubles
 
 
 def test_order_two_member_agrees_with_the_oracle_route(modp_calls):
     # at every good 5 <= p <= 3000 the verdict is the oracle's, the route is
-    # the one the characters of x - e_i call for, a walk's step divides
-    # #E(F_p), and the halving route (4) walks nothing; each route occurs at
-    # least 100 times, and P = O, Q and another point of order 2 mod p all occur
+    # the one the characters of x - e_i call for, the walk's step divides
+    # #E(F_p), and the halving routes (4, "lockstep" and "E[4]") walk
+    # nothing; each route occurs at least 100 times, the halving and walk
+    # routes of full 2-torsion with both verdicts, and P = O, Q and another
+    # point of order 2 mod p all occur
     steps = modp_calls["_annihilator"]
-    routes, reduced_to = {}, {"O": 0, "Q": 0, "T": 0}
+    routes, verdicts, reduced_to = {}, set(), {"O": 0, "Q": 0, "T": 0}
     primes = primes_upto(3000)
     for p_point, q_point in _order_two_cases(20, seed=20261019):
         assert torsion_order(q_point) == 2
@@ -733,34 +767,40 @@ def test_order_two_member_agrees_with_the_oracle_route(modp_calls):
             cp = reduce_curve(p_point.curve, p)
             _, big_a, a, (e, zero) = _to_short(cp, reduce_point(p_point, cp)._tuple(),
                                                reduce_point(q_point, cp)._tuple())
-            route, roots, doubles = _order_two_route(p, big_a, a, e)
+            route, roots, doubles = _order_two_route(cp, big_a, a, e)
             assert zero == 0 and len(doubles) in (0, 1, 3), (p_point, p)
             steps.clear()
             chi = [_euler(v, p) for v in
                    (-3 * e * e - 4 * big_a, 3 * e * e + big_a, a[0] - e if a else 0)]
             verdict = _order_two_member(p, big_a, a, e, *chi)
             assert verdict == (p in members), (p_point, p, route)
-            if route == 4:
-                assert not steps and group_order_by_enumeration(cp) % route == 0, (p_point, p)
-            elif isinstance(route, int):
+            if route == 16:
                 assert steps == [route] and group_order_by_enumeration(cp) % route == 0, (p_point, p)
+            elif route == 4:
+                assert not steps and group_order_by_enumeration(cp) % route == 0, (p_point, p)
             else:
                 assert not steps and (route, verdict) not in [("member", False), ("non-member", True)]
             routes[route] = routes.get(route, 0) + 1
+            verdicts.add((route, verdict))
             if a is None or a[0] in roots:
                 reduced_to["O" if a is None else "Q" if a[0] == e else "T"] += 1
         assert sweep_primes(p_point, q_point, primes) == reference
-    assert len(routes) == 7 and min(routes.values()) >= 100, routes
+    assert len(routes) == 8 and min(routes.values()) >= 100, routes
+    assert {(route, v) for route in ("lockstep", "E[4]", 16) for v in (True, False)} <= verdicts
     assert min(reduced_to.values()) >= 1, reduced_to
 
 
 def test_half_x_doubles_back_to_the_point():
     # at every prime p < 2000 where 65a or order2-a has E(F_p)[2] = {O, Q},
     # each R = 2S != O (every S up to p = 500, 30 seeded ones above) has a
-    # half at the returned x, lifted with _sqrt_mod; the half from the other
-    # X of phi fails that check at every R, so the check catches the wrong square
+    # half at the returned x, lifted with _square_root(p); the half from the other
+    # X of phi fails that check at every R, so the check catches the wrong square.
+    # Where 65a or order2-full has full 2-torsion, _half_split's x lifts to a
+    # half of every such R as well; up to p = 500 its class is (1, 1) exactly
+    # when brute force finds a half of R in 2E(F_p), and then that half is one
     rng, halved, other_fails = random.Random(27), 0, 0
-    for name in ("65a", "order2-a"):
+    rng_split, split, split_in_2e = random.Random(28), 0, 0
+    for name in ("65a", "order2-a", "order2-full"):
         fixture = load_fixture(str(FIXTURES / f"{name}.fixture"))
         curve = fixture.curve
         for p in primes_upto(2000)[2:]:
@@ -768,32 +808,55 @@ def test_half_x_doubles_back_to_the_point():
                 continue
             cp = reduce_curve(curve, p)
             _, big_a, (e, _) = _to_short(cp, reduce_point(fixture.q, cp)._tuple())
-            big_b, h = _short_model(curve)[1] % p, (p - 1) // 2
+            big_b, h, root = _short_model(curve)[1] % p, (p - 1) // 2, _square_root(p)
             alpha, beta = 3 * e % p, (3 * e * e + big_a) % p
-            if pow(alpha * alpha - 4 * beta, h, p) == 1:
+            full = pow(alpha * alpha - 4 * beta, h, p) == 1
+            if name == ("order2-a" if full else "order2-full"):
                 continue
 
-            def half_doubles_to(u, r):
-                x = (u + e) % p
+            def doubles_to(x, r):
                 rhs = (x ** 3 + big_a * x + big_b) % p
                 if pow(rhs, h, p) != 1:
                     return False
-                half = (x, _sqrt_mod(rhs, p))
+                half = (x, root(rhs))
                 return _short_add(p, big_a, half, half)[0] == r[0]
 
-            xs = range(p) if p <= 500 else [rng.randrange(p) for _ in range(30)]
-            ss = [(x, root) for x in xs
-                  if (root := sqrt_mod(x ** 3 + big_a * x + big_b, p)) is not None]
-            for r in {_short_add(p, big_a, s, s) for s in ss} - {None}:
+            xs = range(p) if p <= 500 else [(rng_split if full else rng).randrange(p) for _ in range(30)]
+            ss = [(x, y) for x in xs
+                  if (y := sqrt_mod(x ** 3 + big_a * x + big_b, p)) is not None]
+            doubles = {_short_add(p, big_a, s, s) for s in ss} - {None}
+            if full:
+                d = sqrt_mod(alpha * alpha - 4 * beta, p)
+                roots = (e, (d - e) * (h + 1) % p, (-d - e) * (h + 1) % p)
+                classes = tuple(tuple(_euler(v - r if v != r else (r - s) * (r - t), p)
+                                      for r, s, t in (roots, roots[1:] + roots[:1]))
+                                for v in roots)
+                halves_by_x = {}            # x(2S) -> the x(S); 2E is closed under negation
+                for s in ss:
+                    if (double := _short_add(p, big_a, s, s)) is not None:
+                        halves_by_x.setdefault(double[0], []).append(s[0])
+                doubles_x = {r[0] for r in doubles}
+                for r in doubles:
+                    x, delta = _half_split(p, roots, classes, r[0], [root(r[0] - v) for v in roots])
+                    assert doubles_to(x, r), (name, p, r)
+                    if p <= 500:
+                        assert (delta == (1, 1)) == any(
+                            v in doubles_x for v in halves_by_x[r[0]]), (name, p, r)
+                        assert delta != (1, 1) or x in doubles_x, (name, p, r)
+                    split += 1
+                    split_in_2e += delta == (1, 1)
+                continue
+            for r in doubles:
                 u = (r[0] - e) % p
-                assert half_doubles_to(_half_x(p, _square_root(p), alpha, beta, u), r), (name, p, r)
-                w = _sqrt_mod((u * u + alpha * u + beta) % p, p)
+                assert doubles_to((_half_x(p, root, alpha, beta, u) + e) % p, r), (name, p, r)
+                w = root((u * u + alpha * u + beta) % p)
                 other = [big_x for big_x in ((alpha + 2 * u + 2 * w) % p, (alpha + 2 * u - 2 * w) % p)
                          if pow(big_x, h, p) != 1][0]
-                root = sqrt_mod((other - alpha) ** 2 - 4 * beta, p)
-                other_fails += root is None or not half_doubles_to((other - alpha + root) * (h + 1), r)
+                d = sqrt_mod((other - alpha) ** 2 - 4 * beta, p)
+                other_fails += d is None or not doubles_to(((other - alpha + d) * (h + 1) + e) % p, r)
                 halved += 1
     assert halved > 10000 and other_fails == halved, (halved, other_fails)
+    assert split > 10000 and 0 < split_in_2e < split, (split, split_in_2e)
 
 
 @pytest.mark.parametrize("p", [103, 101, 97, 193, 257, 65537])
@@ -803,7 +866,7 @@ def test_sqrt_mod_matches_brute_force(p):
     residues = sorted({r * r % p for r in range(p)})
     sample = residues if p < 1000 else random.Random(p).sample(residues, 3000) + [0, 1, p - 1]
     for a in sample:
-        assert _sqrt_mod(a, p) ** 2 % p == a
+        assert _square_root(p)(a) ** 2 % p == a
 
 
 @pytest.mark.parametrize("p", [103, 101, 97])
@@ -812,8 +875,8 @@ def test_sqrt_mod_names_a_non_residue(p):
     residues = {r * r % p for r in range(p)}
     for a in sorted(set(range(p)) - residues):
         with pytest.raises(ValueError, match=f"^{a} is not a square mod {p}$"):
-            _sqrt_mod(a, p)
-    assert _sqrt_mod(0, p) == 0
+            _square_root(p)(a)
+    assert _square_root(p)(0) == 0
 
 
 def test_fixed_characters_follow_eulers_criterion():
@@ -854,7 +917,9 @@ def test_order_two_sweep_spends_fewer_eulers_criteria(monkeypatch, modp_calls):
     # 65a's sweep to 10^5 took 84,006 pows with exponent (p - 1)/2 while it
     # evaluated the characters of its three fixed integers at every prime;
     # read by residue class, and with the known characters of the full
-    # 2-torsion branch, at most half that remain. The walk is unchanged.
+    # 2-torsion branch, at most half that remain. Only the primes with all
+    # three points of order 2 in 2E(F_p) and a 2-Sylow larger than E[4]
+    # walk, at step 16.
     fixture = load_fixture(str(FIXTURES / "65a.fixture"))
     euler = 0
 
@@ -868,7 +933,7 @@ def test_order_two_sweep_spends_fewer_eulers_criteria(monkeypatch, modp_calls):
     monkeypatch.delattr(modp, "pow")
     assert result.count == 2685
     assert euler <= 42000, euler
-    assert len(modp_calls["_annihilator"]) == 1192
+    assert modp_calls["_annihilator"] == [16] * 283
 
 
 def test_bsgs_told_the_order_spends_fewer_group_operations(monkeypatch):
