@@ -122,13 +122,15 @@ def canonical_height(point: Point, tol: float = DEFAULT_TOLERANCE) -> HeightEsti
       max(|z(t)|, |w(t)|) from a Bezout identity b z + c w = 1.
     - E = 2^-48 * (log|a| + (N+1) * sum_n 4^(-n) (1 + |l_n|)) + 2^-60 is
       the rounding allowance. The doubling orbit is kept in binary fixed
-      point with enough bits that its drift moves the sum by under 2^-64,
-      the polynomial values are exact, and the rest covers correctly
-      rounded integer quotients, a libm log within one ulp, and the float
-      sums. Each step drops log2 of expansion = (sup|w'| + 5 sup|D'|) / low
-      bits, low = f/4, which bounds the slope of the doubling map wherever
-      the orbit's error e meets e * max(sup|D'|, sup|w'|) <= low; the
-      starting precision meets that condition at every step
+      point with enough bits that its drift moves the sum by under 2^-70,
+      and the rest covers correctly rounded integer quotients, a libm log
+      within one ulp, and the float sums. Each term runs at the orbit's
+      precision b: the powers of t are floored to b bits, which puts z and
+      w within Z 2^-b and W 2^-b of their exact values, and guard bits of
+      at least log2(1 + (W + 5(Z + W)) / low) pay for that truncation. Each
+      step drops log2 of expansion = (sup|w'| + 5 sup|D'|) / low bits,
+      low = f/4, which bounds the slope of the doubling map near the orbit;
+      the starting precision keeps the orbit that near at every step
       (_archimedean_series has the proof).
 
     N is the least count with T <= 2^-54, so the value is as accurate as a
@@ -174,51 +176,65 @@ def _archimedean_series(point: Point) -> tuple[float, float, int]:
     doubling maps t to w(t)/D(t). A term stays in its chart when
     |w| <= 2|z| (D = z) and otherwise moves to the other one (D = z +- w),
     so |w/D| <= 2 and |t| <= 2 along the whole orbit, and l = log|D|. t is
-    held as an integer over 2^bits, z and w are evaluated exactly, scaled by
-    2^(4 bits), and each step drops step_bits = log2(expansion) bits.
+    held as an integer T over S = 2^bits, and each step drops step_bits =
+    log2(expansion) bits.
+
+    The term runs in bits-bit fixed point: T_2 = floor(T T / S), T_3 =
+    floor(T_2 T / S) and T_4 = floor(T_3 T / S), so |T_i / S - t^i| <
+    (1 + |t| + ... + |t|^(i-2)) 2^-bits, and z~ = sum z_i T_i and w~ =
+    sum w_i T_i meet |z~/S - z(t)| <= Z 2^-bits and |w~/S - w(t)| <=
+    W 2^-bits on |t| <= 9/4, with Z = |z_2| + (13/4)|z_3| + (133/16)|z_4|
+    and W alike. The branch rule reads z~ and w~, l = log(|D~|/S), and the
+    next T is floor(w~ 2^bits' / D~).
 
     Why that precision suffices. Let f be the Bezout floor of max(|z|, |w|)
-    on |t| <= 9/4 and low = f/4 (_series_constants). At a computed t the
-    branch rule gives |D| >= f/2 = 2 low and |w/D| <= 2. Compare the
-    computed orbit with the exact one that takes the same branches, and let
-    e be their distance at a step. Smallness condition: e sup|D'| <= low
-    and e sup|w'| <= low, that is e * lipschitz <= 1. Between the two
-    points |D| then stays above |D(t)| - low >= low and
-    |w/D| <= (2|D(t)| + low) / (|D(t)| - low) <= 5, so
+    on |t| <= 9/4 and low = f/4 (_series_bounds). Compare the computed
+    orbit with the exact one that takes the same branches, let e be their
+    distance at a step and h = (Z + W) 2^-bits. Smallness condition:
+    e sup|D'| <= low/4, e sup|w'| <= low/4 and h <= low/4. The branch rule
+    gives |D~/S| >= max(|z~|, |w~|) / 2S >= 2 low - h/2 and |w~/D~| <= 2,
+    so at the computed t, |D(t)| >= 2 low - 3h/2 >= 13 low / 8 and
+    |w(t)| <= 2|D(t)| + 3h. Between the two points |D| then stays above
+    low and |w/D| <= (2|D(t)| + low) / (|D(t)| - low/4) <= 5, so
 
         |d(w/D)/dt| = |w'/D - (w/D) D'/D| <= (sup|w'| + 5 sup|D'|) / low = expansion,
-        |d log|D| / dt| <= sup|D'| / low <= lipschitz.
+        |d log|D| / dt| <= sup|D'| / low <= lipschitz,
 
-    Each floor division adds under 2^-bits, so with bits_n = bits_0 -
-    n step_bits and expansion <= 2^step_bits, induction gives
-    e_n <= (n + 1) 2^-bits_n. As bits_0 = 66 + N step_bits + log2(lipschitz)
-    and step_bits >= 2, lipschitz e_n <= (n + 1) 2^-66 4^(n - N) <= N 2^-68
+    and at t, with |w(t)/D(t)| <= 5 and |D~/S| >= low, the truncation moves
+    w/D by at most (W + 5(Z + W)) 2^-bits / low and log|D| by at most
+    (Z + W) 2^-bits / low. With the floor division, each step adds under
+    C 2^-bits' with C = 1 + (W + 5(Z + W)) / low, so with bits_n = bits_0
+    - n step_bits and expansion <= 2^step_bits, induction gives e_n <=
+    (n + 1) C 2^-bits_n. As bits_0 = 66 + N step_bits + log2(lipschitz) +
+    guard with guard >= log2(C), and step_bits >= 2, lipschitz e_n <=
+    (n + 1) 2^-66 4^(n - N) <= N 2^-68 and h_n / low <= C 2^-bits_n / 5
     for n < N. N is at most 539 because L is a finite double, so the
     smallness condition holds at every step. l_n moves by at most
-    lipschitz e_n, and (1/4) sum_n 4^-n l_n by at most
-    2^-68 4^-N sum_n (n + 1) <= 2^-70.
+    lipschitz e_n + h_n / low <= (6/5) (n + 1) 2^-66 4^(n - N), and
+    (1/4) sum_n 4^-n l_n by at most (6/5) 2^-68 4^-N sum_n (n + 1) <= 2^-70,
+    as N >= 27 (L >= log 10, since the branch z +- w starts 1 +- 4t).
     """
     charts, lipschitz, expansion, ell_max = _series_constants(point.curve)
+    guard = _series_bounds(point.curve)[4]
     u, den = point.triple[0], point.triple[2] ** 2
     chart = 0 if 2 * abs(u) >= den else 1
     a = u + chart * den
     terms = max(1, math.ceil((54 * math.log(2) + math.log(ell_max / 3)) / math.log(4)))
     step_bits = _log2_ceil(expansion)
-    bits = 66 + terms * step_bits + _log2_ceil(lipschitz)
+    bits = 66 + terms * step_bits + _log2_ceil(lipschitz) + guard
     t = (den << bits) // a
     total = magnitude = 0.0
     for n in range(terms):
-        z_poly, w_poly = charts[chart]
-        z, w = z_poly[0] << 4 * bits, w_poly[0] << 4 * bits
-        power = 1
-        for i in range(1, 5):
-            power *= t
-            scaled = power << bits * (4 - i)
-            z, w = z + z_poly[i] * scaled, w + w_poly[i] * scaled
+        (z0, z1, z2, z3, z4), (w0, w1, w2, w3, w4) = charts[chart]
+        t2 = t * t >> bits
+        t3 = t2 * t >> bits
+        t4 = t3 * t >> bits
+        z = (z0 << bits) + z1 * t + z2 * t2 + z3 * t3 + z4 * t4
+        w = (w0 << bits) + w1 * t + w2 * t2 + w3 * t3 + w4 * t4
         d = z
         if abs(w) > 2 * abs(z):
             d, chart = z + (1 - 2 * chart) * w, 1 - chart
-        ell = math.log(abs(d) / (1 << 4 * bits))
+        ell = math.log(abs(d) / (1 << bits))
         total += ell / 4 ** n
         magnitude += (1 + abs(ell)) / 4 ** n
         bits -= step_bits
@@ -229,8 +245,21 @@ def _archimedean_series(point: Point) -> tuple[float, float, int]:
     return log_a + total / 4, tail + rounding, terms
 
 
-@functools.lru_cache(maxsize=16)
+# bounds on |T_i / S - t^i| in units of 2^-bits on |t| <= 9/4 (_archimedean_series)
+_POWER_SLACK = (0, 0, 1, Fraction(13, 4), Fraction(133, 16))
+
+
 def _series_constants(curve) -> tuple[tuple, Fraction, Fraction, float]:
+    """The charts, lipschitz, expansion and L of _series_bounds.
+
+    The series reads these four here and the guard apart, so other constants
+    can be substituted for these while the guard stays the curve's own.
+    """
+    return _series_bounds(curve)[:4]
+
+
+@functools.lru_cache(maxsize=16)
+def _series_bounds(curve) -> tuple[tuple, Fraction, Fraction, float, int]:
     """Per-chart (z, w) polynomials and the bounds the series needs on |t| <= 9/4.
 
     low is a quarter of the Bezout floor of max(|z|, |w|), and the sups run
@@ -238,14 +267,16 @@ def _series_constants(curve) -> tuple[tuple, Fraction, Fraction, float]:
     the charts; lipschitz = max(sup|D'|, sup|w'|) / low, which bounds the
     slope of every l = log|D| and sets the smallness condition; expansion =
     (sup|w'| + 5 sup|D'|) / low, at least 2, which bounds the slope of every
-    doubling step t -> w/D (derived in _archimedean_series); and the bound
-    L on |l|. Polynomials are coefficient lists, constant term first.
+    doubling step t -> w/D; the bound L on |l|; and the guard, an integer
+    >= log2(C) for the truncation constant C = 1 + (W + 5(Z + W)) / low
+    (all derived in _archimedean_series). Polynomials are coefficient lists,
+    constant term first.
     """
     bound = Fraction(9, 4)
     b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
     shifted = (b2 - 12, b4 - b2 + 6, b6 - 2 * b4 + b2 - 4, b8 - 3 * b6 + 3 * b4 - b2 + 3)
     charts = []
-    lipschitz, expansion, ell_max = Fraction(1), Fraction(2), 0.0
+    lipschitz, expansion, ell_max, truncation = Fraction(1), Fraction(2), 0.0, Fraction(1)
     for sign, (c2, c4, c6, c8) in ((1, (b2, b4, b6, b8)), (-1, shifted)):
         z, w = [1, 0, -c4, -2 * c6, -c8], [0, 4, c2, 2 * c4, c6]
         charts.append((tuple(z), tuple(w)))
@@ -256,7 +287,9 @@ def _series_constants(curve) -> tuple[tuple, Fraction, Fraction, float]:
             lipschitz = max(lipschitz, max(sup_dd, sup_dw) / low)
             expansion = max(expansion, (sup_dw + 5 * sup_dd) / low)
             ell_max = max(ell_max, _log_fraction(sup_d), -_log_fraction(low))
-    return tuple(charts), lipschitz, expansion, ell_max
+        big_z, big_w = (sum(abs(c) * s for c, s in zip(p, _POWER_SLACK)) for p in (z, w))
+        truncation = max(truncation, 1 + (big_w + 5 * (big_z + big_w)) / low)
+    return tuple(charts), lipschitz, expansion, ell_max, _log2_ceil(truncation)
 
 
 def _coprime_floor(f, g, bound) -> Fraction:

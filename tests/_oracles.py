@@ -16,10 +16,11 @@ general addition, so it never passes through the short model.
 
 import functools
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
-from elldiv import modp
+from elldiv import heights, modp
 from elldiv.numtheory import (
     DEFAULT_FACTOR_BUDGET,
     TRIAL_DIVISION_BOUND,
@@ -27,7 +28,7 @@ from elldiv.numtheory import (
     is_prime,
     primes_upto,
 )
-from elldiv.rational_ec import WeierstrassCurve, torsion_order
+from elldiv.rational_ec import SingularCurveError, WeierstrassCurve, torsion_order
 
 # (curve, P, Q, bad primes <= 3000). Q has order 3 and 4 on the first two,
 # and p = 3 resp. p = 2 divide that order while being good primes. On the
@@ -293,6 +294,83 @@ def series_constants_reference(curve):
             expansion = max(expansion, (sup_dw * sup_d + sup_w * sup_dd) / low ** 2)
             ell_max = max(ell_max, log(sup_d), -log(low))
     return tuple(charts), lipschitz, expansion, ell_max
+
+
+def exact_archimedean_series(point):
+    """heights._archimedean_series with every polynomial value exact.
+
+    The same constants (heights._series_constants), term count N and step
+    bits, and bits_0 = 66 + N step_bits + log2(lipschitz) with no guard:
+    z and w are summed exactly at scale 2^(4 bits) from the exact powers of
+    T. The only rounding before the floats is the floor division for the
+    next T, so the proof in heights._archimedean_series holds here with
+    C = 1 and bounds this orbit's drift on the sum by 2^-70.
+    """
+    charts, lipschitz, expansion, ell_max = heights._series_constants(point.curve)
+    u, den = point.triple[0], point.triple[2] ** 2
+    chart = 0 if 2 * abs(u) >= den else 1
+    a = u + chart * den
+    terms = max(1, math.ceil((54 * math.log(2) + math.log(ell_max / 3)) / math.log(4)))
+    step_bits = heights._log2_ceil(expansion)
+    bits = 66 + terms * step_bits + heights._log2_ceil(lipschitz)
+    t = (den << bits) // a
+    total = magnitude = 0.0
+    for n in range(terms):
+        z_poly, w_poly = charts[chart]
+        z, w = z_poly[0] << 4 * bits, w_poly[0] << 4 * bits
+        power = 1
+        for i in range(1, 5):
+            power *= t
+            scaled = power << bits * (4 - i)
+            z, w = z + z_poly[i] * scaled, w + w_poly[i] * scaled
+        d = z
+        if abs(w) > 2 * abs(z):
+            d, chart = z + (1 - 2 * chart) * w, 1 - chart
+        ell = math.log(abs(d) / (1 << 4 * bits))
+        total += ell / 4 ** n
+        magnitude += (1 + abs(ell)) / 4 ** n
+        bits -= step_bits
+        t = (w << bits) // d
+    log_a = heights.log_int(abs(a))
+    tail = ell_max / (3 * 4 ** terms)
+    rounding = 2.0 ** -48 * (log_a + (terms + 1) * magnitude) + 2.0 ** -60
+    return log_a + total / 4, tail + rounding, terms
+
+
+def seeded_curves(count, seed):
+    """(curve, points) for count small curves that have a point of infinite order.
+
+    Coefficients are drawn from [-3, 3] by stdlib random with this seed, and
+    singular draws are skipped. points holds the integral points with
+    |x| <= 12 and |y| <= 60, then the other points with x = a/4, y = b/8
+    and |x|, |y| <= 10.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coeffs = [rng.randint(-3, 3) for _ in range(5)]
+        try:
+            curve = WeierstrassCurve(*coeffs)
+        except SingularCurveError:
+            continue
+        a1, a2, a3, a4, a6 = coeffs
+        points = []
+        for x, y_max in [(Fraction(x), 60) for x in range(-12, 13)] + \
+                [(Fraction(a, 4), 10) for a in range(-40, 41) if a % 4]:
+            # y^2 + s y = r, so (2y + s)^2 = s^2 + 4r
+            s, r = a1 * x + a3, x ** 3 + a2 * x ** 2 + a4 * x + a6
+            disc = s * s + 4 * r
+            if disc < 0:
+                continue
+            root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+            if root * root != disc:
+                continue
+            for y in sorted({(root - s) / 2, (-root - s) / 2}):
+                if abs(y) <= y_max:
+                    points.append(curve.point(x, y))
+        if any(torsion_order(point) is None for point in points):
+            out.append((curve, points))
+    return out
 
 
 def trial_division_primes(n):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +23,15 @@ from elldiv.heights import (
 )
 from elldiv.denominators import denom_sequence
 from elldiv.numtheory import factorize
-from elldiv.rational_ec import Point, WeierstrassCurve
-from _oracles import DoublingLimitError, ShortModelCurve, doubling_limit, series_constants_reference
+from elldiv.rational_ec import Point, WeierstrassCurve, torsion_order
+from _oracles import (
+    DoublingLimitError,
+    ShortModelCurve,
+    doubling_limit,
+    exact_archimedean_series,
+    seeded_curves,
+    series_constants_reference,
+)
 
 
 def test_log_int():
@@ -302,6 +310,16 @@ def test_series_at_four_times_the_bits_agrees_within_the_drift(monkeypatch):
         assert (bound, terms) == (fine_bound, fine_terms)
 
 
+def test_series_matches_the_exact_polynomial_oracle(monkeypatch):
+    # proven: the truncated series and the oracle (exact polynomial values,
+    # no guard) each move the sum by at most 2^-70 from their exact orbits
+    # (_archimedean_series); observed: on these points all three outputs agree
+    points = series_points()
+    proven = estimates(points)
+    monkeypatch.setattr(heights, "_archimedean_series", exact_archimedean_series)
+    assert estimates(points) == proven
+
+
 def scaled(poly, k, den, degree):
     """den^degree * poly(k / den), exactly."""
     return sum(c * k ** i * den ** (degree - i) for i, c in enumerate(poly))
@@ -339,3 +357,67 @@ def test_series_drops_at_least_twelve_fewer_bits_a_step():
         curve = load_fixture(str(FIXTURES / f"{name}.fixture")).curve
         step = heights._log2_ceil(heights._series_constants(curve)[2])
         assert heights._log2_ceil(series_constants_reference(curve)[2]) - step >= 12
+
+
+# |T_i / S - t^i| < (1 + |t| + ... + |t|^(i-2)) 2^-b for the floor-truncated powers
+POWER_SLACK = tuple(sum(Fraction(9, 4) ** j for j in range(i - 1)) for i in range(5))
+
+
+@pytest.mark.parametrize("curve", [load_fixture(str(FIXTURES / f"{name}.fixture")).curve
+                                    for name in SHIPPED] + [WeierstrassCurve(*LARGE_COEFFICIENTS)],
+                         ids=SHIPPED + ["large"])
+def test_truncation_bounds_cover_the_sampled_fixed_point_errors(curve):
+    # at t = (k + 1/3)/64 floored to b bits, |t| <= 9/4 (on the k/64 grid
+    # itself every power is exact from b = 24 on), in each chart: the
+    # floor-truncated z~ and w~ lie within Z 2^-b and W 2^-b of z(t) and
+    # w(t), in exact arithmetic. Where b >= guard, so the smallness
+    # condition holds, the step's truncation gain 1 + 2^b |w~/D~ - w(t)/D(t)|
+    # on the branch the rule picks stays below 2^guard. No series step runs
+    # below b = 66 + guard.
+    assert heights._POWER_SLACK == POWER_SLACK
+    charts, _, _, _, guard = heights._series_bounds(curve)
+    worst = 1
+    for sign, (z, w) in zip((1, -1), charts):
+        big_z, big_w = (sum(abs(c) * s for c, s in zip(p, POWER_SLACK)) for p in (z, w))
+        branch = [zi + sign * wi for zi, wi in zip(z, w)]
+        for bits in (16, 40, 90, 66 + guard):
+            one = 1 << bits
+            for k in range(-144, 144):
+                powers = [one, (3 * k + 1) * one // 192]
+                for _ in range(3):
+                    powers.append(powers[-1] * powers[1] >> bits)
+                z_fix, w_fix = (sum(c * p for c, p in zip(poly, powers)) for poly in (z, w))
+                assert abs(Fraction(powers[1], one)) <= Fraction(9, 4)
+                z_t, w_t = scaled(z, powers[1], one, 4), scaled(w, powers[1], one, 4)
+                assert abs(Fraction(z_fix, one) - Fraction(z_t, one ** 4)) * one <= big_z
+                assert abs(Fraction(w_fix, one) - Fraction(w_t, one ** 4)) * one <= big_w
+                if bits < guard:
+                    continue
+                d_poly, d_fix = z, z_fix
+                if abs(w_fix) > 2 * abs(z_fix):
+                    d_poly, d_fix = branch, z_fix + sign * w_fix
+                exact = Fraction(w_t, scaled(d_poly, powers[1], one, 4))
+                worst = max(worst, 1 + one * abs(Fraction(w_fix, d_fix) - exact))
+    assert math.log2(worst) <= guard
+
+
+def test_seeded_corpus_heights_agree_with_the_exact_oracle(monkeypatch, tmp_path, capsys):
+    # 20 seeded small curves (_oracles.seeded_curves), P drawn from their
+    # points of infinite order: the height command exits 0 or 2, and
+    # canonical_height(nP) for n <= 10 equals the exact-polynomial oracle's
+    from elldiv import cli
+
+    seed = 20261022
+    rng = random.Random(seed)
+    multiples = []
+    for index, (curve, points) in enumerate(seeded_curves(20, seed)):
+        p_point = rng.choice([point for point in points if torsion_order(point) is None])
+        path = tmp_path / f"corpus-{index}.fixture"
+        coeffs = [curve.a1, curve.a2, curve.a3, curve.a4, curve.a6]
+        path.write_text(f"curve = {coeffs}\nP = [{p_point.x}, {p_point.y}]\nQ = O\n")
+        assert cli.main(["height", str(path), "--tol", "1e-10"]) in (0, 2), coeffs
+        multiples += [n * p_point for n in range(1, 11)]
+    capsys.readouterr()
+    proven = estimates(multiples)
+    monkeypatch.setattr(heights, "_archimedean_series", exact_archimedean_series)
+    assert estimates(multiples) == proven
